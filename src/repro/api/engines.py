@@ -13,12 +13,12 @@ kind            options (all optional)
                 ``fallback`` ("best_stored"/"template"), or a pre-built
                 ``structure`` (programmatic specs only)
 ``service``     ``registry`` (directory path), ``cache``, ``memo``,
-                ``scale``, ``seed``, ``workers``, ``fallback``,
+                ``scale``, ``seed``, ``fallback``,
                 ``sharded`` (fingerprint-sharded registry layout), a full
                 ``config`` (GeneratorConfig), or a shared ``service``
                 instance (programmatic specs only)
 ``parallel``    ``inner`` (any spec), ``workers``, ``reseed``
-                ("none"/"per_query"), ``start_method``, ``min_batch``
+                ("none"/"per_query"), ``start_method``
 ==============  ==========================================================
 
 ``mps`` and ``service`` specs built from plain JSON generate their
@@ -135,7 +135,6 @@ def make_service(
     memo: int = 4096,
     scale: str = "smoke",
     seed: int = 0,
-    workers: Optional[int] = None,
     fallback: str = "best_stored",
     sharded: Optional[bool] = None,
     config=None,
@@ -171,7 +170,6 @@ def make_service(
             cache_capacity=cache,
             memo_capacity=memo,
             fallback_mode=fallback,
-            max_workers=workers,
         )
     if structure is not None:
         _check_structure_matches(structure, circuit)
@@ -187,7 +185,6 @@ def make_parallel(
     workers: int = 2,
     reseed: str = "none",
     start_method: Optional[str] = None,
-    min_batch: Optional[int] = None,
 ) -> Placer:
     """A process-pool fan-out around any inner engine (``kind: "parallel"``).
 
@@ -208,7 +205,6 @@ def make_parallel(
         bounds=bounds,
         reseed=reseed,
         start_method=start_method,
-        min_batch=min_batch,
     )
 
 

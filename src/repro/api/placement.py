@@ -19,10 +19,10 @@ produced a floorplan:
   vector, the stored-placement index, memoization flags, …), also
   frozen.
 
-:class:`Placement` replaces the three historical result types
+:class:`Placement` replaced the three historical result types
 (``baselines.base.PlacementResult``, ``synthesis.backends.BackendPlacement``
-and ``core.instantiator.InstantiatedPlacement``); those names still import
-from their old homes as deprecated aliases of this class.
+and ``core.instantiator.InstantiatedPlacement``), whose deprecated aliases
+have since been removed.
 """
 
 from __future__ import annotations

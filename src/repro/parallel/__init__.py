@@ -1,7 +1,9 @@
 """Parallel execution: process pools, picklable jobs, shard-aware registry.
 
 The synthesis loop is embarrassingly parallel across candidate placements;
-this package is the concurrency story that exploits it:
+this package is the concurrency story that exploits it, and its process
+pool is the package's only fan-out across cores (the in-process batch
+paths deduplicate and run serially):
 
 * :class:`~repro.parallel.pool.WorkerPool` — a reusable process pool that
   executes :mod:`repro.parallel.jobs` specs (placers reconstructed from

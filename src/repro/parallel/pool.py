@@ -43,6 +43,7 @@ from repro.parallel.jobs import (
     run_placement_job,
     run_route_job,
 )
+from repro.utils.grouping import group_positions, scatter
 from repro.utils.logging_utils import get_logger
 
 LOGGER = get_logger("parallel.pool")
@@ -127,20 +128,18 @@ class WorkerPool:
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default picks
         ``fork`` when the platform offers it.
-    min_pool_queries:
-        Smallest unique-query count worth a pool round-trip; smaller
-        batches run inline.
+
+    Batches with fewer than :data:`MIN_POOL_QUERIES` unique queries run
+    inline: a pool round-trip would cost more than it saves.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        min_pool_queries: int = MIN_POOL_QUERIES,
     ) -> None:
         self._workers = max(1, workers if workers is not None else default_workers())
         self._start_method = resolve_start_method(start_method)
-        self._min_pool_queries = min_pool_queries
         self._executor: Optional[ProcessPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
         #: Shard-affine slots: one single-process executor per pinned slot,
@@ -354,7 +353,6 @@ class WorkerPool:
         spec: Mapping[str, object],
         queries: Sequence[Sequence[Dims]],
         per_query_seeds: Optional[Sequence[int]] = None,
-        dedup: bool = True,
         pin_slot: Optional[int] = None,
     ) -> Tuple[List[Placement], Dict[str, float]]:
         """Answer a placement batch: dedup, shard, fan out, reassemble.
@@ -371,24 +369,21 @@ class WorkerPool:
         if _obs_enabled():
             _obs_metrics().inc("pool.batches")
         frozen = [tuple((int(w), int(h)) for w, h in query) for query in queries]
-        if dedup and per_query_seeds is None:
-            order: List[Tuple[Dims, ...]] = []
-            positions: Dict[Tuple[Dims, ...], List[int]] = {}
-            for position, query in enumerate(frozen):
-                if query not in positions:
-                    positions[query] = []
-                    order.append(query)
-                positions[query].append(position)
+        if per_query_seeds is None:
+            groups = group_positions(frozen)
+            unique, unique_seeds = list(groups), None
         else:
-            # Per-query seeds make every query unique by construction.
-            order = list(frozen)
-            positions = {}
+            # A seeded query's answer depends on its seed too, so the seed
+            # joins the dedup key (distinct seeds never merge).
+            groups = group_positions(zip(frozen, per_query_seeds))
+            unique = [query for query, _seed in groups]
+            unique_seeds = [seed for _query, seed in groups]
 
         num_jobs = self._workers
-        if pin_slot is not None or len(order) < max(self._min_pool_queries, 2):
+        if pin_slot is not None or len(unique) < max(MIN_POOL_QUERIES, 2):
             num_jobs = 1
         jobs = make_placement_jobs(
-            circuit_data, spec, order, num_jobs, per_query_seeds=per_query_seeds
+            circuit_data, spec, unique, num_jobs, per_query_seeds=unique_seeds
         )
         job_results = self.run_jobs(jobs, run_placement_job, pin_slot=pin_slot)
 
@@ -399,21 +394,14 @@ class WorkerPool:
             for key, value in job_result.stats.items():
                 merged[key] = merged.get(key, 0.0) + value
         merged["pool_jobs"] = float(len(job_results))
-        merged["pool_unique_queries"] = float(len(order))
-        merged["pool_dedup_hits"] = float(len(frozen) - len(order))
+        merged["pool_unique_queries"] = float(len(unique))
+        merged["pool_dedup_hits"] = float(len(frozen) - len(unique))
         merged["pool_worker_processes"] = float(
             len({result.worker_pid for result in job_results})
         )
         if pin_slot is not None:
             merged["pool_pinned_slot"] = float(pin_slot)
-
-        if positions:
-            results: List[Optional[Placement]] = [None] * len(frozen)
-            for key, result in zip(order, unique_results):
-                for position in positions[key]:
-                    results[position] = result
-            return results, merged  # type: ignore[return-value] # every slot filled
-        return unique_results, merged
+        return scatter(groups, unique_results), merged
 
     def route_batch(
         self,
@@ -433,7 +421,7 @@ class WorkerPool:
             {name: tuple(int(v) for v in values) for name, values in rects.items()}
             for rects in rects_batch
         ]
-        num_jobs = self._workers if len(frozen) >= self._min_pool_queries else 1
+        num_jobs = self._workers if len(frozen) >= MIN_POOL_QUERIES else 1
         chunks = chunk_evenly(frozen, num_jobs)
         trace = trace_context()
         jobs = [

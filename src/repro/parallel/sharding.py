@@ -42,6 +42,7 @@ from repro.core.structure import MultiPlacementStructure
 from repro.obs.spans import clock, is_enabled as _obs_enabled, metrics as _obs_metrics, span
 from repro.service.fingerprint import structure_key
 from repro.service.registry import RegistryEntry, RegistryStats, StructureRegistry
+from repro.utils.grouping import group_positions
 from repro.utils.logging_utils import get_logger
 
 LOGGER = get_logger("parallel.sharding")
@@ -396,10 +397,11 @@ class ShardOwnerMap:
 
     def assignments(self, keys: Sequence[str]) -> Dict[int, List[str]]:
         """Group ``keys`` by owning worker slot (slots with no keys omitted)."""
-        grouped: Dict[int, List[str]] = {}
-        for key in keys:
-            grouped.setdefault(self.owner_for_key(key), []).append(key)
-        return grouped
+        groups = group_positions(self.owner_for_key(key) for key in keys)
+        return {
+            slot: [keys[position] for position in positions]
+            for slot, positions in groups.items()
+        }
 
 
 AnyRegistry = Union[StructureRegistry, ShardedStructureRegistry]

@@ -1,20 +1,19 @@
-"""Batched routing with deduplication and fan-out.
+"""Batched routing with deduplication.
 
 Synthesis optimizers evaluate placements in batches, and — exactly as with
 placement queries — those batches are heavy with repeats: distinct sizing
 points collapse onto the same dimension vector and therefore the same
 floorplan.  Identical placements route identically, so
 :func:`route_batch` routes each unique rect-set once and fans the
-:class:`~repro.route.result.RoutedLayout` back out, optionally spreading
-unique layouts across a worker pool (routing is pure, so concurrent runs
-are safe).
+:class:`~repro.route.result.RoutedLayout` back out.  Spreading unique
+layouts across cores is the process pool's job
+(``PlacementService.route_batch(workers=N)``), not this module's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.placement import Placement
 from repro.circuit.netlist import Circuit
@@ -22,10 +21,8 @@ from repro.geometry.floorplan import FloorplanBounds
 from repro.geometry.rect import Rect
 from repro.route.result import RoutedLayout
 from repro.route.router import GlobalRouter, RouterConfig
+from repro.utils.grouping import group_positions, scatter
 from repro.utils.timer import Timer
-
-#: Minimum number of unique layouts before a worker pool is worth spinning up.
-MIN_PARALLEL_ROUTES = 8
 
 #: Hashable identity of one placement's rect-set.
 RectsKey = Tuple[Tuple[str, int, int, int, int], ...]
@@ -60,13 +57,8 @@ class RouteBatchResult:
     @property
     def total_overflow(self) -> int:
         """Summed overflow over the unique routed layouts."""
-        seen: set = set()
-        total = 0
-        for layout in self.results:
-            if id(layout) not in seen:
-                seen.add(id(layout))
-                total += layout.overflow
-        return total
+        groups = group_positions(id(layout) for layout in self.results)
+        return sum(self.results[positions[0]].overflow for positions in groups.values())
 
 
 def rects_key(rects: Mapping[str, Rect]) -> RectsKey:
@@ -80,60 +72,20 @@ def route_batch(
     placements: Sequence[Union[Placement, Mapping[str, Rect]]],
     bounds: Optional[FloorplanBounds] = None,
     config: Optional[RouterConfig] = None,
-    max_workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> RouteBatchResult:
-    """Route every placement in ``placements``, deduplicating identical ones.
-
-    Parameters mirror :func:`repro.service.batch.instantiate_batch`:
-    ``max_workers`` sizes a transient pool (``None`` or ``<= 1`` runs
-    serially; pools only spin up past :data:`MIN_PARALLEL_ROUTES` unique
-    layouts), ``executor`` reuses an existing pool without shutting it down.
-    """
+    """Route every placement in ``placements``, deduplicating identical ones."""
     router = GlobalRouter(circuit, bounds=bounds, config=config)
     with Timer() as timer:
-        order: List[RectsKey] = []
-        rects_for: Dict[RectsKey, Mapping[str, Rect]] = {}
-        positions: Dict[RectsKey, List[int]] = {}
-        for position, placement in enumerate(placements):
-            rects = placement.rects if isinstance(placement, Placement) else placement
-            key = rects_key(rects)
-            if key not in positions:
-                positions[key] = []
-                rects_for[key] = rects
-                order.append(key)
-            positions[key].append(position)
-
-        unique_layouts = _run_unique(
-            router, [rects_for[key] for key in order], max_workers, executor
-        )
-
-        results: List[Optional[RoutedLayout]] = [None] * len(placements)
-        for key, layout in zip(order, unique_layouts):
-            for position in positions[key]:
-                results[position] = layout
+        rects_batch = [
+            placement.rects if isinstance(placement, Placement) else placement
+            for placement in placements
+        ]
+        groups = group_positions(rects_key(rects) for rects in rects_batch)
+        layouts = [router.route(rects_batch[positions[0]]) for positions in groups.values()]
+        results = scatter(groups, layouts)
     return RouteBatchResult(
-        results=results,  # type: ignore[arg-type] # every slot filled above
-        unique_layouts=len(order),
-        duplicate_layouts=len(placements) - len(order),
+        results=results,
+        unique_layouts=len(groups),
+        duplicate_layouts=len(placements) - len(groups),
         elapsed_seconds=timer.elapsed,
     )
-
-
-def _run_unique(
-    router: GlobalRouter,
-    unique_rects: List[Mapping[str, Rect]],
-    max_workers: Optional[int],
-    executor: Optional[Executor],
-) -> List[RoutedLayout]:
-    """Route each unique rect-set, in order, serially or on a pool."""
-    if executor is not None:
-        return list(executor.map(router.route, unique_rects))
-    if (
-        max_workers is not None
-        and max_workers > 1
-        and len(unique_rects) >= MIN_PARALLEL_ROUTES
-    ):
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(router.route, unique_rects))
-    return [router.route(rects) for rects in unique_rects]

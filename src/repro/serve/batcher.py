@@ -25,10 +25,11 @@ Semantics the tests pin down:
   list is empty (an overflow backlog flushes as several batches), and a
   closed batcher never re-arms a coalesce window: every submitted future
   resolves before ``close()`` returns.
-* **Sub-batch plans** — with a ``plan``, a dispatched batch splits into
-  per-shard groups that dispatch concurrently; each group's futures
-  resolve as that group lands and a failing group fails only its own
-  items.
+* **Grouping by key** — every item carries a hashable key chosen at
+  ``submit`` time (the server uses the circuit).  A dispatched batch
+  splits into one group per key, in first-seen order; groups dispatch
+  concurrently, each group's futures resolve as that group lands, and a
+  failing group fails only its own items.
 """
 
 from __future__ import annotations
@@ -36,18 +37,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import DeadlineExceeded
+from repro.utils.grouping import group_positions
 
-#: Dispatch callable: a list of coalesced items to one awaited result list.
+#: Dispatch callable: a list of coalesced same-key items to one awaited
+#: result list.
 DispatchFn = Callable[[List[Any]], Awaitable[Sequence[Any]]]
-
-#: Sub-batch planner: the coalesced items to ``(label, indices)`` groups.
-#: Labels are opaque (the server uses shard prefixes); indices refer to the
-#: dispatched item list and should partition it.
-PlanFn = Callable[[List[Any]], Sequence[Tuple[Optional[str], Sequence[int]]]]
 
 
 @dataclass
@@ -55,6 +53,9 @@ class _Pending:
     """One submitted item waiting for its batch."""
 
     item: Any
+    #: Items sharing a key dispatch together; different keys never share
+    #: a dispatch call.
+    key: Hashable
     future: "asyncio.Future[Any]"
     #: Absolute event-loop time after which the item must not dispatch.
     deadline: Optional[float]
@@ -67,9 +68,9 @@ class MicroBatcher:
     Parameters
     ----------
     dispatch:
-        Async callable receiving the coalesced items (in submission order)
-        and returning one result per item, same order.  A raised exception
-        fails every item of that batch.
+        Async callable receiving the coalesced items of one key (in
+        submission order) and returning one result per item, same order.
+        A raised exception fails every item of that call.
     window_seconds:
         How long the first item of a batch may wait for company.
     max_batch:
@@ -79,14 +80,6 @@ class MicroBatcher:
     metrics:
         Registry receiving the batcher's counters and histograms
         (defaults to a private one; the server passes its own).
-    plan:
-        Optional sub-batch planner.  When a dispatched batch splits into
-        more than one ``(label, indices)`` group, each group dispatches as
-        its own concurrent sub-batch: a group's futures resolve as soon as
-        *that group's* dispatch lands (streamed partial results), and a
-        failing group fails only its own items.  Indices the plan misses
-        form a trailing unlabeled group, so a buggy plan degrades to an
-        extra sub-batch rather than stranded futures.
     """
 
     def __init__(
@@ -96,14 +89,12 @@ class MicroBatcher:
         max_batch: int = 64,
         name: str = "default",
         metrics: Optional[MetricsRegistry] = None,
-        plan: Optional[PlanFn] = None,
     ) -> None:
         if window_seconds < 0:
             raise ValueError("window_seconds must be non-negative")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         self._dispatch = dispatch
-        self._plan = plan
         self._window = window_seconds
         self._max_batch = max_batch
         self._name = name
@@ -153,19 +144,23 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    async def submit(self, item: Any, deadline: Optional[float] = None) -> Any:
+    async def submit(
+        self, item: Any, deadline: Optional[float] = None, key: Hashable = None
+    ) -> Any:
         """Queue ``item`` for the next batch and await its result.
 
         ``deadline`` is an absolute event-loop time (``loop.time()``
         basis); expired items fail with :class:`DeadlineExceeded` instead
-        of dispatching.  Cancelling the awaiting task drops the item from
-        its batch.
+        of dispatching.  ``key`` picks the item's dispatch group: a
+        coalesced batch dispatches one call per distinct key.  Cancelling
+        the awaiting task drops the item from its batch.
         """
         if self._closed:
             raise RuntimeError(f"MicroBatcher {self._name!r} is closed")
         loop = asyncio.get_running_loop()
         pending = _Pending(
             item=item,
+            key=key,
             future=loop.create_future(),
             deadline=deadline,
             enqueued_at=loop.time(),
@@ -296,52 +291,21 @@ class MicroBatcher:
                 self._metric("window_utilization"),
                 min((now - oldest) / self._window, 1.0),
             )
-        groups = self._plan_groups(live)
-        if groups is None:
+        groups = group_positions(pending.key for pending in live)
+        if len(groups) == 1:
             await self._dispatch_group(live)
             return
-        # Shard-affine split: each group dispatches concurrently, and a
-        # group's futures resolve the moment its own dispatch lands — a
-        # fast shard's callers never wait for the slowest shard.
+        # Split by key: each group dispatches concurrently, and a group's
+        # futures resolve the moment its own dispatch lands — a fast
+        # shard's callers never wait for the slowest shard.
         self._metrics.inc(self._metric("subbatch_splits"))
         self._metrics.inc(self._metric("subbatches"), len(groups))
         await asyncio.gather(
-            *(self._dispatch_group(members) for _label, members in groups)
+            *(
+                self._dispatch_group([live[index] for index in positions])
+                for positions in groups.values()
+            )
         )
-
-    def _plan_groups(
-        self, live: List[_Pending]
-    ) -> Optional[List[Tuple[Optional[str], List[_Pending]]]]:
-        """Split ``live`` into sub-batch groups, or ``None`` for one dispatch.
-
-        Defensive by construction: out-of-range or duplicate indices are
-        ignored, indices the plan never mentions collect into a trailing
-        unlabeled group, and a raising plan falls back to a single batch —
-        a bad plan may cost affinity, never a stranded future.
-        """
-        if self._plan is None or len(live) <= 1:
-            return None
-        try:
-            planned = self._plan([pending.item for pending in live])
-        except Exception:  # noqa: BLE001 - planning is best-effort
-            self._metrics.inc(self._metric("plan_errors"))
-            return None
-        groups: List[Tuple[Optional[str], List[_Pending]]] = []
-        seen: set[int] = set()
-        for label, indices in planned:
-            members: List[_Pending] = []
-            for index in indices:
-                if 0 <= index < len(live) and index not in seen:
-                    seen.add(index)
-                    members.append(live[index])
-            if members:
-                groups.append((label, members))
-        leftover = [live[i] for i in range(len(live)) if i not in seen]
-        if leftover:
-            groups.append((None, leftover))
-        if len(groups) <= 1:
-            return None
-        return groups
 
     async def _dispatch_group(self, group: List[_Pending]) -> None:
         """Dispatch one (sub-)batch and resolve exactly its futures."""

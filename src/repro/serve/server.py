@@ -1,13 +1,12 @@
 """The always-on placement server: asyncio front end over ``PlacementService``.
 
 :class:`PlacementServer` is the process that stays up and takes traffic.
-One asyncio event loop accepts JSON-over-HTTP/1.1 connections; per-circuit
-:class:`~repro.serve.batcher.MicroBatcher` instances coalesce concurrent
-``/place`` requests into :meth:`PlacementService.instantiate_batch` calls
-(which reuse the whole dedup → shard → fan-out stack, including the
-PR 5 process pool when ``service_workers`` asks for it); admission control
-and per-tenant quotas shed overload with 429 before it turns into queueing
-latency; and SIGTERM drains gracefully — in-flight requests finish, the
+One asyncio event loop accepts JSON-over-HTTP/1.1 connections; one shared
+:class:`~repro.serve.batcher.MicroBatcher` coalesces concurrent ``/place``
+requests into one :meth:`PlacementService.instantiate_batch` call per
+circuit (dedup, then the process pool when ``service_workers`` asks for
+it); admission control and per-tenant quotas shed overload with 429
+before it turns into queueing latency; and SIGTERM drains gracefully — in-flight requests finish, the
 batchers flush, owned pools close, and not one accepted request is lost.
 
 The blocking service calls run on a small thread pool so the event loop
@@ -46,7 +45,7 @@ from repro.obs.spans import (
     span_context,
 )
 from repro.serve.admission import AdmissionController, AdmissionTicket
-from repro.serve.affinity import AffinityDecision, AffinityRouter
+from repro.serve.affinity import AffinityRouter
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import (
     STREAM_TERMINATOR,
@@ -73,6 +72,7 @@ from repro.serve.protocol import (
 )
 from repro.service.engine import PlacementService
 from repro.serve.quotas import TenantQuotas
+from repro.utils.grouping import group_positions, scatter_each
 from repro.utils.logging_utils import get_logger
 
 LOGGER = get_logger("serve.server")
@@ -177,15 +177,13 @@ class _BatchItem:
     The batcher treats items opaquely but duck-calls :meth:`on_batch` when
     the item's batch dispatches, which is how the request learns the batch
     id it rode (for its access-log line) and how the dispatch span learns
-    which request traces to link.  ``circuit`` and ``shard`` (the affinity
-    prefix, stamped at submit time) let the shared batcher split a mixed
-    coalesced batch into per-shard sub-batches.
+    which request traces to link.  The batcher groups items by their
+    circuit (the submit key), so every dispatch carries one circuit.
     """
 
     __slots__ = (
         "circuit",
         "dims",
-        "shard",
         "trace",
         "request_id",
         "batch_id",
@@ -194,15 +192,13 @@ class _BatchItem:
 
     def __init__(
         self,
+        circuit: Any,
         dims: Any,
         trace: Optional[Tuple[str, str]] = None,
         request_id: Optional[str] = None,
-        circuit: Any = None,
-        shard: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.dims = dims
-        self.shard = shard
         self.trace = trace
         self.request_id = request_id
         self.batch_id: Optional[str] = None
@@ -254,15 +250,15 @@ class PlacementServer:
             enabled=self._config.affinity,
         )
         #: One shared ``/place`` batcher for every circuit: concurrent
-        #: requests coalesce across circuits, and the affinity plan splits
-        #: the coalesced batch back into per-shard sub-batches at dispatch.
+        #: requests coalesce across circuits, and the batcher splits the
+        #: coalesced batch back into one dispatch per circuit (the key each
+        #: request is submitted with).
         self._batcher = MicroBatcher(
             dispatch=self._dispatch_batch,
             window_seconds=self._config.window_seconds,
             max_batch=self._config.max_batch,
             name="place",
             metrics=self._metrics,
-            plan=self._affinity.subbatch_plan,
         )
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -540,7 +536,9 @@ class PlacementServer:
                 outcome = exc.code
                 obs_span.set(error=exc.code)
                 result = _HandlerResult(
-                    response=error_response(exc, close=self._draining)
+                    response=error_response(
+                        exc, close=self._draining or request.wants_close
+                    )
                 )
             except Exception as exc:  # noqa: BLE001 - last-resort 500
                 LOGGER.exception("unhandled error serving %s %s", *route)
@@ -691,17 +689,14 @@ class PlacementServer:
         circuit = self._resolver.resolve(payload)
         dims = parse_dims(payload.get("dims"), circuit.num_blocks)
         ticket = self._admit(request, 1)
-        decision = self._affinity.route(circuit)
         item = _BatchItem(
-            dims,
-            trace=span_context(obs_span),
-            request_id=request_id,
-            circuit=circuit,
-            shard=decision.shard,
+            circuit, dims, trace=span_context(obs_span), request_id=request_id
         )
         try:
+            # Keyed by circuit identity: the item holds the circuit, so the
+            # id stays unique for as long as the item is queued.
             placement = await self._batcher.submit(
-                item, deadline=self._deadline_for(request)
+                item, deadline=self._deadline_for(request), key=id(circuit)
             )
         except BaseException:
             ticket.release()
@@ -740,8 +735,14 @@ class PlacementServer:
             queries = [(circuit, dims) for dims in dims_batch]
         ticket = self._admit(request, len(queries))
         try:
-            groups = self._group_queries(queries)
-            obs_span.set(queries=len(queries), shards=len(groups), stream=stream)
+            groups = group_positions(id(circuit) for circuit, _dims in queries)
+            shards = []
+            for positions in groups.values():
+                group_circuit = queries[positions[0]][0]
+                shards.append(
+                    (group_circuit, self._affinity.route(group_circuit), positions)
+                )
+            obs_span.set(queries=len(queries), shards=len(shards), stream=stream)
             loop = asyncio.get_running_loop()
             trace = span_context(obs_span)
             started = loop.time()
@@ -749,17 +750,13 @@ class PlacementServer:
                 loop.run_in_executor(
                     self._require_executor(),
                     partial(
-                        self._anchored_call,
-                        trace,
-                        partial(
-                            self._dispatch_shard_blocking,
-                            group_circuit,
-                            decision,
-                            [queries[i][1] for i in indices],
-                        ),
+                        self._dispatch_circuit,
+                        group_circuit,
+                        [queries[i][1] for i in positions],
+                        [trace],
                     ),
                 )
-                for group_circuit, decision, indices in groups
+                for group_circuit, _decision, positions in shards
             ]
         except BaseException:
             ticket.release()
@@ -769,64 +766,36 @@ class PlacementServer:
                 response=stream_response_head(200),
                 ticket=ticket,
                 cost=len(queries),
-                stream=self._stream_shard_chunks(groups, tasks, started),
+                stream=self._stream_shard_chunks(shards, tasks, started),
             )
         try:
             batches = await asyncio.gather(*tasks)
         except BaseException:
             ticket.release()
             raise
-        results: List[Any] = [None] * len(queries)
-        shards = []
-        unique = duplicates = 0
-        for (group_circuit, decision, indices), batch in zip(groups, batches):
-            for index, placement in zip(indices, batch.results):
-                results[index] = placement
-            unique += batch.unique_queries
-            duplicates += batch.duplicate_queries
-            shards.append(
+        body = {
+            "results": [
+                placement_payload(placement)
+                for placement in scatter_each(groups, (batch.results for batch in batches))
+            ],
+            "unique_queries": sum(batch.unique_queries for batch in batches),
+            "duplicate_queries": sum(batch.duplicate_queries for batch in batches),
+            "elapsed_seconds": round(loop.time() - started, 6),
+        }
+        if raw_queries is not None or len(shards) > 1:
+            body["shards"] = [
                 {
                     "shard": decision.shard,
                     "slot": decision.slot,
                     "circuit": group_circuit.name,
-                    "queries": len(indices),
+                    "queries": len(positions),
                     "elapsed_seconds": round(batch.elapsed_seconds, 6),
                 }
-            )
-        body = {
-            "results": [placement_payload(placement) for placement in results],
-            "unique_queries": unique,
-            "duplicate_queries": duplicates,
-            "elapsed_seconds": round(loop.time() - started, 6),
-        }
-        if raw_queries is not None or len(groups) > 1:
-            body["shards"] = shards
+                for (group_circuit, decision, positions), batch in zip(shards, batches)
+            ]
         return _HandlerResult(
             response=json_response(200, body), ticket=ticket, cost=len(queries)
         )
-
-    def _group_queries(
-        self, queries: List[Tuple[Any, Any]]
-    ) -> List[Tuple[Any, AffinityDecision, List[int]]]:
-        """Group (circuit, dims) queries into per-circuit shard sub-batches."""
-        order: List[int] = []
-        grouped: Dict[int, List[int]] = {}
-        circuits: Dict[int, Any] = {}
-        for index, (circuit, _dims) in enumerate(queries):
-            circuit_id = id(circuit)
-            if circuit_id not in grouped:
-                grouped[circuit_id] = []
-                circuits[circuit_id] = circuit
-                order.append(circuit_id)
-            grouped[circuit_id].append(index)
-        return [
-            (
-                circuits[circuit_id],
-                self._affinity.route(circuits[circuit_id]),
-                grouped[circuit_id],
-            )
-            for circuit_id in order
-        ]
 
     async def _stream_shard_chunks(self, groups, tasks, started):
         """Yield one pre-framed chunk per shard sub-batch, completion order.
@@ -872,29 +841,6 @@ class PlacementServer:
                 "elapsed_seconds": round(loop.time() - started, 6),
             }
         )
-
-    def _dispatch_shard_blocking(
-        self, circuit: Any, decision: AffinityDecision, dims_list: List[Any]
-    ) -> Any:
-        """One shard sub-batch on an executor thread, pinned to its owner."""
-        attrs: Dict[str, Any] = {
-            "circuit": circuit.name,
-            "queries": len(dims_list),
-            "shard": decision.shard,
-        }
-        if decision.pinned:
-            attrs["slot"] = decision.slot
-        with span("serve.shard_dispatch", **attrs):
-            dispatch_started = time.monotonic()
-            try:
-                return self._service.instantiate_batch(
-                    circuit,
-                    dims_list,
-                    workers=self._config.service_workers,
-                    pin_slot=decision.slot,
-                )
-            finally:
-                self._affinity.record(decision, time.monotonic() - dispatch_started)
 
     async def _handle_route(
         self, request: HttpRequest, obs_span: Any, request_id: str
@@ -1005,84 +951,68 @@ class PlacementServer:
         with anchored(ctx):
             return fn()
 
-    async def _dispatch_batch(self, items: List[Any]) -> List[Any]:
-        """One coalesced dispatch: the blocking batch call, off the loop.
-
-        The affinity plan hands this at most one circuit's items per call
-        (each sub-batch dispatches separately); the blocking half still
-        regroups defensively so a mixed item list stays correct.
-        """
+    async def _dispatch_batch(self, items: List[_BatchItem]) -> List[Any]:
+        """One coalesced ``/place`` group (one circuit), off the event loop."""
         loop = asyncio.get_running_loop()
-        results, duplicates = await loop.run_in_executor(
+        batch = await loop.run_in_executor(
             self._require_executor(),
-            partial(self._dispatch_blocking, list(items)),
+            partial(
+                self._dispatch_circuit,
+                items[0].circuit,
+                [item.dims for item in items],
+                [item.trace for item in items],
+                items[0].batch_id,
+            ),
         )
         self._metrics.inc("serve.dispatches")
         self._metrics.inc("serve.coalesced_queries", len(items))
-        self._metrics.inc("serve.dedup_hits", duplicates)
-        return results
+        self._metrics.inc("serve.dedup_hits", batch.duplicate_queries)
+        return batch.results
 
-    def _dispatch_blocking(
-        self, items: List[_BatchItem]
-    ) -> Tuple[List[Any], int]:
-        """The blocking half of a dispatch, on an executor thread.
+    def _dispatch_circuit(
+        self,
+        circuit: Any,
+        dims_list: List[Any],
+        traces: List[Optional[Tuple[str, str]]],
+        batch_id: Optional[str] = None,
+    ) -> Any:
+        """One circuit's queries as one ``instantiate_batch``, on an executor thread.
 
-        The dispatch span opens *here*, not on the event loop: the
-        executor thread's span stack then parents the service-side spans
-        naturally, and the span never sits on the loop thread's stack
-        where concurrent requests would mis-parent onto it.  It anchors
-        onto the first coalesced request's trace and links the rest via
-        the ``links`` attribute, so every rider's trace names the batch.
-        Each circuit's queries run as one pinned ``instantiate_batch``
-        against the circuit's shard owner.
+        The single dispatch path of ``/place`` (one coalesced group) and
+        ``/place_batch`` (one circuit's sub-batch), pinned to the worker
+        that owns the circuit's registry shard.  The dispatch span opens
+        *here*, not on the event loop: the executor thread's span stack
+        then parents the service-side spans naturally, and the span never
+        sits on the loop thread's stack where concurrent requests would
+        mis-parent onto it.  It anchors onto the first request trace and
+        links the rest via the ``links`` attribute, so every rider's trace
+        names the batch.
         """
-        order: List[int] = []
-        grouped: Dict[int, List[int]] = {}
-        circuits: Dict[int, Any] = {}
-        for index, item in enumerate(items):
-            circuit_id = id(item.circuit)
-            if circuit_id not in grouped:
-                grouped[circuit_id] = []
-                circuits[circuit_id] = item.circuit
-                order.append(circuit_id)
-            grouped[circuit_id].append(index)
-        primary = next((item.trace for item in items if item.trace), None)
-        links = sorted({item.trace[0] for item in items if item.trace})
-        results: List[Any] = [None] * len(items)
-        duplicates = 0
-        with anchored(primary):
-            for circuit_id in order:
-                circuit = circuits[circuit_id]
-                indices = grouped[circuit_id]
-                decision = self._affinity.route(circuit)
-                attrs: Dict[str, Any] = {
-                    "circuit": circuit.name,
-                    "queries": len(indices),
-                    "shard": decision.shard,
-                }
-                if decision.pinned:
-                    attrs["slot"] = decision.slot
-                if items[indices[0]].batch_id is not None:
-                    attrs["batch_id"] = items[indices[0]].batch_id
-                if links:
-                    attrs["links"] = ",".join(links)
-                with span("serve.dispatch", **attrs):
-                    dispatch_started = time.monotonic()
-                    try:
-                        batch = self._service.instantiate_batch(
-                            circuit,
-                            [items[i].dims for i in indices],
-                            workers=self._config.service_workers,
-                            pin_slot=decision.slot,
-                        )
-                    finally:
-                        self._affinity.record(
-                            decision, time.monotonic() - dispatch_started
-                        )
-                duplicates += batch.duplicate_queries
-                for index, placement in zip(indices, batch.results):
-                    results[index] = placement
-        return results, duplicates
+        decision = self._affinity.route(circuit)
+        attrs: Dict[str, Any] = {
+            "circuit": circuit.name,
+            "queries": len(dims_list),
+            "shard": decision.shard,
+        }
+        if decision.pinned:
+            attrs["slot"] = decision.slot
+        if batch_id is not None:
+            attrs["batch_id"] = batch_id
+        links = sorted({trace[0] for trace in traces if trace})
+        if links:
+            attrs["links"] = ",".join(links)
+        primary = next((trace for trace in traces if trace), None)
+        with anchored(primary), span("serve.dispatch", **attrs):
+            dispatch_started = time.monotonic()
+            try:
+                return self._service.instantiate_batch(
+                    circuit,
+                    dims_list,
+                    workers=self._config.service_workers,
+                    pin_slot=decision.slot,
+                )
+            finally:
+                self._affinity.record(decision, time.monotonic() - dispatch_started)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "draining" if self._draining else (
@@ -1122,7 +1052,14 @@ async def _read_request(
         name, separator, value = header_line.decode("latin-1").partition(":")
         if not separator:
             raise BadRequest(f"malformed header line: {header_line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise BadRequest("conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        # Only Content-Length framing is supported.  Reading a chunked body
+        # as empty would leave its bytes to be parsed as the next request.
+        raise BadRequest("Transfer-Encoding is not supported; send Content-Length")
     raw_length = headers.get("content-length", "0") or "0"
     try:
         length = int(raw_length)

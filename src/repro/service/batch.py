@@ -1,4 +1,4 @@
-"""Batched placement instantiation with deduplication and fan-out.
+"""Batched placement instantiation with deduplication.
 
 Synthesis optimizers (population-based sizing, parallel SA chains, design
 space sweeps) naturally produce *batches* of dimension vectors, and those
@@ -6,24 +6,22 @@ batches are heavy with duplicates: module generators snap continuous sizes
 onto integer grids, so distinct sizing points frequently collapse onto the
 same dimension vector.  Instantiating each unique vector once and fanning
 the results back out is therefore the single biggest win of the service
-layer; a ``concurrent.futures`` pool then spreads the remaining unique
-queries across workers.
+layer.  The unique queries are scored together in one vectorized sweep;
+spreading a batch across cores is the process pool's job
+(``PlacementService.instantiate_batch(workers=N)``), not this module's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.api.placement import Placement
 from repro.core.instantiator import PlacementInstantiator
 from repro.core.placement_entry import Dims
 from repro.service.cache import MemoizingInstantiator
+from repro.utils.grouping import group_positions, scatter
 from repro.utils.timer import Timer
-
-#: Minimum number of unique queries before a worker pool is worth spinning up.
-MIN_PARALLEL_QUERIES = 8
 
 AnyInstantiator = Union[PlacementInstantiator, MemoizingInstantiator]
 
@@ -79,16 +77,15 @@ def _dims_key(instantiator: AnyInstantiator, dims: Sequence[Dims]) -> Tuple[Dims
 def instantiate_batch(
     instantiator: AnyInstantiator,
     dims_batch: Sequence[Sequence[Dims]],
-    max_workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> BatchResult:
     """Instantiate every dimension vector in ``dims_batch``.
 
     Identical vectors (after per-block clamping) are instantiated once and
-    shared.  When ``executor`` is given, or ``max_workers`` asks for more
-    than one worker and the batch has enough unique queries to amortize
-    pool startup, unique queries run concurrently; instantiation is pure,
-    so concurrent queries against one structure are safe.
+    shared.  More than one unique query goes through the instantiator's
+    :meth:`~repro.core.instantiator.PlacementInstantiator.instantiate_many`,
+    which scores the whole batch in one vectorized cost sweep — bitwise
+    identical to the per-query loop — and itself falls back to (and
+    counts) the scalar loop when vectorization is unavailable.
 
     Parameters
     ----------
@@ -96,78 +93,34 @@ def instantiate_batch(
         A :class:`PlacementInstantiator` or :class:`MemoizingInstantiator`.
     dims_batch:
         One dimension vector per query.
-    max_workers:
-        Size of the transient thread pool (``None`` or ``<= 1`` runs
-        serially).  Ignored when ``executor`` is provided.
-    executor:
-        An existing pool to run on (not shut down by this call).
     """
     with Timer() as timer:
-        order: List[Tuple[Dims, ...]] = []
-        positions: Dict[Tuple[Dims, ...], List[int]] = {}
+        num_blocks = instantiator.structure.circuit.num_blocks
         # Two-level dedup: exact repeats collapse on the raw vector without
         # paying the per-block clamp, then clamping merges the remainder.
-        raw_to_clamped: Dict[Tuple[Dims, ...], Tuple[Dims, ...]] = {}
-        num_blocks = instantiator.structure.circuit.num_blocks
-        for position, dims in enumerate(dims_batch):
-            raw = tuple((w, h) for w, h in dims)
+        raw_groups = group_positions(tuple((w, h) for w, h in dims) for dims in dims_batch)
+        for raw, positions in raw_groups.items():
             if len(raw) != num_blocks:
                 raise ValueError(
-                    f"dimension vector {position} must have {num_blocks} entries, "
+                    f"dimension vector {positions[0]} must have {num_blocks} entries, "
                     f"got {len(raw)}"
                 )
-            key = raw_to_clamped.get(raw)
-            if key is None:
-                key = _dims_key(instantiator, dims)
-                raw_to_clamped[raw] = key
-            if key not in positions:
-                positions[key] = []
-                order.append(key)
-            positions[key].append(position)
-
-        unique_results = _run_unique(instantiator, order, max_workers, executor)
-
-        results: List[Optional[Placement]] = [None] * len(dims_batch)
+        clamped = [_dims_key(instantiator, raw) for raw in raw_groups]
+        groups = group_positions(clamped)
+        unique_keys = list(groups)
+        if len(unique_keys) > 1:
+            unique_results = instantiator.instantiate_many(unique_keys)
+        else:
+            unique_results = [instantiator.instantiate(key) for key in unique_keys]
+        per_raw = scatter(groups, unique_results)
+        results = scatter(raw_groups, per_raw)
         source_counts: Dict[str, int] = {}
-        for key, result in zip(order, unique_results):
-            spots = positions[key]
-            source_counts[result.source] = source_counts.get(result.source, 0) + len(spots)
-            for position in spots:
-                results[position] = result
+        for result, positions in zip(per_raw, raw_groups.values()):
+            source_counts[result.source] = source_counts.get(result.source, 0) + len(positions)
     return BatchResult(
-        results=results,  # type: ignore[arg-type] # every slot filled above
-        unique_queries=len(order),
-        duplicate_queries=len(dims_batch) - len(order),
+        results=results,
+        unique_queries=len(unique_keys),
+        duplicate_queries=len(dims_batch) - len(unique_keys),
         elapsed_seconds=timer.elapsed,
         source_counts=source_counts,
     )
-
-
-def _run_unique(
-    instantiator: AnyInstantiator,
-    unique_keys: List[Tuple[Dims, ...]],
-    max_workers: Optional[int],
-    executor: Optional[Executor],
-) -> List[Placement]:
-    """Instantiate each unique key, in order, serially or on a pool.
-
-    Serial batches of more than one unique query go through the
-    instantiator's
-    :meth:`~repro.core.instantiator.PlacementInstantiator.instantiate_many`,
-    which scores the whole batch in one vectorized cost sweep — bitwise
-    identical to the per-query loop — and itself falls back to (and
-    counts) the scalar loop when vectorization is unavailable.
-    """
-    if executor is not None:
-        return list(executor.map(instantiator.instantiate, unique_keys))
-    if (
-        max_workers is not None
-        and max_workers > 1
-        and len(unique_keys) >= MIN_PARALLEL_QUERIES
-    ):
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(instantiator.instantiate, unique_keys))
-    instantiate_many = getattr(instantiator, "instantiate_many", None)
-    if len(unique_keys) > 1 and instantiate_many is not None:
-        return instantiate_many(unique_keys)
-    return [instantiator.instantiate(key) for key in unique_keys]

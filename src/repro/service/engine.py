@@ -42,6 +42,7 @@ from repro.service.batch import BatchResult, instantiate_batch
 from repro.service.cache import LRUCache, MemoizingInstantiator
 from repro.service.fingerprint import structure_key
 from repro.service.registry import StructureRegistry
+from repro.utils.grouping import group_positions, scatter
 from repro.utils.timer import Timer
 
 
@@ -267,8 +268,6 @@ class PlacementService:
         Per-structure bound on memoized dimension-vector queries.
     fallback_mode:
         Passed through to every :class:`PlacementInstantiator`.
-    max_workers:
-        Default worker count for :meth:`instantiate_batch`.
     route_cache_capacity:
         Number of routed layouts kept alongside the placements; routes
         are keyed by the structure fingerprint plus the placed rects, so
@@ -285,7 +284,6 @@ class PlacementService:
         cache_capacity: int = 8,
         memo_capacity: int = 4096,
         fallback_mode: str = FALLBACK_BEST_STORED,
-        max_workers: Optional[int] = None,
         route_cache_capacity: int = 256,
         default_router: Optional[RouterConfig] = None,
     ) -> None:
@@ -294,7 +292,6 @@ class PlacementService:
         self._cache_capacity = cache_capacity
         self._memo_capacity = memo_capacity
         self._fallback_mode = fallback_mode
-        self._max_workers = max_workers
         self._instantiators: LRUCache[str, MemoizingInstantiator] = LRUCache(cache_capacity)
         self._routes: LRUCache[Tuple[str, RectsKey, Optional[RouterConfig]], RoutedLayout] = (
             LRUCache(route_cache_capacity)
@@ -446,19 +443,19 @@ class PlacementService:
         circuit: Circuit,
         dims_batch: Sequence[Sequence[Dims]],
         config: Optional[GeneratorConfig] = None,
-        max_workers: Optional[int] = None,
         workers: Optional[int] = None,
         pin_slot: Optional[int] = None,
     ) -> BatchResult:
         """Serve a whole batch of queries with deduplication and fan-out.
 
-        ``max_workers`` sizes the historical in-process *thread* pool;
-        ``workers`` asks for a real *process* pool instead — the batch is
+        Without ``workers`` the batch is deduplicated and answered in this
+        process (one vectorized sweep over the unique queries).
+        ``workers`` asks for the process pool — the batch is
         deduplicated, sharded into picklable jobs, and each worker rebuilds
         a service over this service's registry (so the structure loads once
         per worker and the per-worker :class:`ServiceStats` deltas merge
         back into these counters).  Needs a registry; without one the call
-        degrades to the thread path.  ``pin_slot`` (with ``workers``)
+        runs in process.  ``pin_slot`` (with ``workers``)
         routes the whole batch to one dedicated worker process — the
         shard-affine path, where the owner of the circuit's registry shard
         answers from warm caches instead of fanning out.
@@ -488,11 +485,7 @@ class PlacementService:
                     ]
                 memo_hits_before = instantiator.memo_stats.hits
                 vector_before = instantiator.vector_stats()
-                batch = instantiate_batch(
-                    instantiator,
-                    mapped_batch,
-                    max_workers=max_workers if max_workers is not None else self._max_workers,
-                )
+                batch = instantiate_batch(instantiator, mapped_batch)
                 memo_delta = instantiator.memo_stats.hits - memo_hits_before
                 vector_after = instantiator.vector_stats()
             obs_span.set(unique=batch.unique_queries, dedup=batch.duplicate_queries)
@@ -697,49 +690,37 @@ class PlacementService:
         )
         with Timer() as timer:
             # One routing job per distinct floorplan; cache hits never route.
-            order: List[RectsKey] = []
-            rects_by_key: Dict[RectsKey, Mapping[str, Rect]] = {}
-            for placement in batch.results:
-                key = rects_key(placement.rects)
-                if key not in rects_by_key:
-                    rects_by_key[key] = placement.rects
-                    order.append(key)
-            layouts: Dict[RectsKey, RoutedLayout] = {}
-            misses: List[RectsKey] = []
-            cache_hits = 0
-            for key in order:
-                cached = self._routes.get((skey, key, router_config))
-                if cached is not None:
-                    layouts[key] = cached
-                    cache_hits += 1
-                else:
-                    misses.append(key)
+            groups = group_positions(
+                rects_key(placement.rects) for placement in batch.results
+            )
+            keys = list(groups)
+            layouts: List[Optional[RoutedLayout]] = [
+                self._routes.get((skey, key, router_config)) for key in keys
+            ]
+            misses = [index for index, layout in enumerate(layouts) if layout is None]
+            cache_hits = len(keys) - len(misses)
             if misses:
+                miss_rects = [batch.results[groups[keys[index]][0]].rects for index in misses]
                 if workers is not None and workers > 1 and len(misses) > 1:
                     from repro.core.serialization import circuit_to_dict
 
                     routed, _ = self._pool_for(workers).route_batch(
                         circuit_to_dict(circuit),
                         [
-                            {
-                                name: (rect.x, rect.y, rect.w, rect.h)
-                                for name, rect in rects_by_key[key].items()
-                            }
-                            for key in misses
+                            {name: (rect.x, rect.y, rect.w, rect.h) for name, rect in rects.items()}
+                            for rects in miss_rects
                         ],
                         router_config,
                     )
                 else:
                     routed = [
-                        route_placement(
-                            circuit, rects_by_key[key], config=router_config
-                        )
-                        for key in misses
+                        route_placement(circuit, rects, config=router_config)
+                        for rects in miss_rects
                     ]
-                for key, layout in zip(misses, routed):
-                    layouts[key] = layout
-                    self._routes.put((skey, key, router_config), layout)
-        obs_span.set(unique_floorplans=len(order), route_cache_hits=cache_hits)
+                for index, layout in zip(misses, routed):
+                    layouts[index] = layout
+                    self._routes.put((skey, keys[index], router_config), layout)
+        obs_span.set(unique_floorplans=len(groups), route_cache_hits=cache_hits)
         with self._lock:
             self._stats.route_queries += len(batch.results)
             self._stats.route_cache_hits += cache_hits
@@ -747,9 +728,8 @@ class PlacementService:
         if _obs_enabled():
             _obs_metrics().observe("service.route_seconds", timer.elapsed)
         return [
-            (placement.with_routing(layouts[rects_key(placement.rects)]),
-             layouts[rects_key(placement.rects)])
-            for placement in batch.results
+            (placement.with_routing(layout), layout)
+            for placement, layout in zip(batch.results, scatter(groups, layouts))
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

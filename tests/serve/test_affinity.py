@@ -7,6 +7,7 @@ including an injected slow shard proving that a fast shard's chunk
 reaches the client while the slow shard is still running.
 """
 
+import threading
 import time
 
 import pytest
@@ -74,23 +75,6 @@ class TestAffinityRouter:
             build_chain_circuit()
         ).key[:3]
 
-    def test_subbatch_plan_groups_by_circuit(self):
-        class Item:
-            def __init__(self, circuit, shard):
-                self.circuit = circuit
-                self.shard = shard
-
-        router = AffinityRouter(make_service(), workers=2)
-        chain, trio = build_chain_circuit(), build_trio_circuit()
-        items = [
-            Item(chain, "aa"),
-            Item(trio, "bb"),
-            Item(chain, "aa"),
-            Item(trio, "bb"),
-        ]
-        plan = router.subbatch_plan(items)
-        assert plan == [("aa", [0, 2]), ("bb", [1, 3])]
-
     def test_record_tracks_hits_misses_and_shard_latency(self, tmp_path):
         registry = ShardedStructureRegistry(tmp_path / "registry")
         service = PlacementService(registry, default_config=SMOKE)
@@ -116,6 +100,44 @@ class TestAffinityRouter:
         assert stats["hits"] == 0
         assert stats["misses"] == 1
         assert stats["shards"][decision.shard]["slot"] == -1
+
+
+class TestCircuitGrouping:
+    def test_coalesced_places_dispatch_once_per_circuit(self, chain_payload):
+        trio_payload = circuit_to_dict(build_trio_circuit())
+        requests = [
+            (chain_payload, CHAIN_DIMS),
+            (trio_payload, TRIO_DIMS),
+            (chain_payload, CHAIN_DIMS),
+            (trio_payload, TRIO_DIMS),
+        ]
+        # A full batch flushes at once: the fourth submission dispatches the
+        # one coalesced batch long before the window could close.
+        config = ServerConfig(window_seconds=30.0, max_batch=len(requests))
+        statuses = []
+        with ServerHarness(make_service(), config) as harness:
+            barrier = threading.Barrier(len(requests))
+
+            def fire(payload, dims):
+                client = harness.client()
+                barrier.wait()
+                statuses.append(client.place(payload, dims).status)
+
+            threads = [
+                threading.Thread(target=fire, args=request) for request in requests
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            snapshot = harness.server.metrics.snapshot()
+        assert statuses == [200] * len(requests)
+        # One coalesced batch, split by circuit into one dispatch each.
+        assert snapshot["serve.batcher.place.batches"] == 1
+        assert snapshot["serve.batcher.place.subbatches"] == 2
+        assert snapshot["serve.dispatches"] == 2
+        assert snapshot["serve.coalesced_queries"] == 4
+        assert snapshot["serve.dedup_hits"] == 2
 
 
 class TestMixedBatch:
@@ -225,14 +247,14 @@ class TestStreaming:
         slow_seconds = 0.8
         with ServerHarness(make_service()) as harness:
             server = harness.server
-            original = server._dispatch_shard_blocking
+            original = server._dispatch_circuit
 
-            def slow_on_trio(circuit, decision, dims_list):
+            def slow_on_trio(circuit, dims_list, traces, batch_id=None):
                 if circuit.name == "trio":
                     time.sleep(slow_seconds)
-                return original(circuit, decision, dims_list)
+                return original(circuit, dims_list, traces, batch_id)
 
-            server._dispatch_shard_blocking = slow_on_trio
+            server._dispatch_circuit = slow_on_trio
             arrivals = {}
             for chunk in harness.client().iter_place_batch_stream(queries):
                 if not chunk.done:
@@ -254,14 +276,14 @@ class TestStreaming:
         ]
         with ServerHarness(make_service()) as harness:
             server = harness.server
-            original = server._dispatch_shard_blocking
+            original = server._dispatch_circuit
 
-            def explode_on_trio(circuit, decision, dims_list):
+            def explode_on_trio(circuit, dims_list, traces, batch_id=None):
                 if circuit.name == "trio":
                     raise RuntimeError("shard down")
-                return original(circuit, decision, dims_list)
+                return original(circuit, dims_list, traces, batch_id)
 
-            server._dispatch_shard_blocking = explode_on_trio
+            server._dispatch_circuit = explode_on_trio
             client = harness.client()
             chunks = client.place_batch_stream(queries)
             follow_up = client.healthz()

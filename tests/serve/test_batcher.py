@@ -341,35 +341,25 @@ class TestCloseDrain:
         assert stats["expired"] == 1
 
 
-def plan_by_first_char(items):
-    """Group item indices by the first character of their str() form."""
-    order = []
-    groups = {}
-    for index, item in enumerate(items):
-        label = str(item)[0]
-        if label not in groups:
-            groups[label] = []
-            order.append(label)
-        groups[label].append(index)
-    return [(label, groups[label]) for label in order]
+def submit_keyed(batcher, item):
+    """Submit ``item`` keyed by its first character (its dispatch group)."""
+    return batcher.submit(item, key=str(item)[0])
 
 
-class TestSubBatchPlans:
-    def test_plan_splits_one_coalesced_batch_into_groups(self):
+class TestGroupKeys:
+    def test_keys_split_one_coalesced_batch_into_groups(self):
         async def scenario():
             dispatch = RecordingDispatch()
-            batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=plan_by_first_char
-            )
+            batcher = MicroBatcher(dispatch, window_seconds=0.02, max_batch=16)
             results = await asyncio.gather(
-                *(batcher.submit(item) for item in ["a1", "b1", "a2", "b2"])
+                *(submit_keyed(batcher, item) for item in ["a1", "b1", "a2", "b2"])
             )
             await batcher.close()
             return dispatch, results, batcher.stats()
 
         dispatch, results, stats = asyncio.run(scenario())
         assert results == ["result:a1", "result:b1", "result:a2", "result:b2"]
-        # One coalesced batch, dispatched as two per-label sub-batches.
+        # One coalesced batch, dispatched as two per-key groups.
         assert sorted(map(tuple, dispatch.batches)) == [("a1", "a2"), ("b1", "b2")]
         assert stats["batches"] == 1
         assert stats["subbatch_splits"] == 1
@@ -383,14 +373,11 @@ class TestSubBatchPlans:
                         await asyncio.sleep(0.25)
                     return [f"result:{item}" for item in items]
 
-            batcher = MicroBatcher(
-                GroupDispatch(),
-                window_seconds=0.01,
-                max_batch=16,
-                plan=plan_by_first_char,
-            )
-            fast = [asyncio.ensure_future(batcher.submit(f"f{i}")) for i in range(2)]
-            slow = asyncio.ensure_future(batcher.submit("s0"))
+            batcher = MicroBatcher(GroupDispatch(), window_seconds=0.01, max_batch=16)
+            fast = [
+                asyncio.ensure_future(submit_keyed(batcher, f"f{i}")) for i in range(2)
+            ]
+            slow = asyncio.ensure_future(submit_keyed(batcher, "s0"))
             done, _ = await asyncio.wait(fast, timeout=0.15)
             streamed = len(done) == len(fast) and not slow.done()
             results = await asyncio.gather(*fast, slow)
@@ -398,7 +385,7 @@ class TestSubBatchPlans:
             return streamed, results
 
         streamed, results = asyncio.run(scenario())
-        # The fast shard's futures resolved while the slow shard was still
+        # The fast group's futures resolved while the slow group was still
         # in flight — partial results really stream.
         assert streamed
         assert results == ["result:f0", "result:f1", "result:s0"]
@@ -410,11 +397,9 @@ class TestSubBatchPlans:
                     raise RuntimeError("shard down")
                 return [f"result:{item}" for item in items]
 
-            batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=plan_by_first_char
-            )
+            batcher = MicroBatcher(dispatch, window_seconds=0.02, max_batch=16)
             results = await asyncio.gather(
-                *(batcher.submit(item) for item in ["a1", "x1", "a2", "x2"]),
+                *(submit_keyed(batcher, item) for item in ["a1", "x1", "a2", "x2"]),
                 return_exceptions=True,
             )
             await batcher.close()
@@ -430,12 +415,10 @@ class TestSubBatchPlans:
     def test_cancelled_future_inside_a_group_is_dropped(self):
         async def scenario():
             dispatch = RecordingDispatch()
-            batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=plan_by_first_char
-            )
-            doomed = asyncio.ensure_future(batcher.submit("a1"))
+            batcher = MicroBatcher(dispatch, window_seconds=0.02, max_batch=16)
+            doomed = asyncio.ensure_future(submit_keyed(batcher, "a1"))
             keepers = [
-                asyncio.ensure_future(batcher.submit(item))
+                asyncio.ensure_future(submit_keyed(batcher, item))
                 for item in ["a2", "b1", "b2"]
             ]
             await asyncio.sleep(0)  # all queued in one window
@@ -452,65 +435,15 @@ class TestSubBatchPlans:
         assert sorted(map(tuple, dispatch.batches)) == [("a2",), ("b1", "b2")]
         assert stats["cancelled"] == 1
 
-    def test_raising_plan_degrades_to_a_single_batch(self):
+    def test_single_item_batch_dispatches_without_a_split(self):
         async def scenario():
-            def bad_plan(items):
-                raise ValueError("planner bug")
-
             dispatch = RecordingDispatch()
-            batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=bad_plan
-            )
-            results = await asyncio.gather(
-                batcher.submit("a"), batcher.submit("b")
-            )
+            batcher = MicroBatcher(dispatch, window_seconds=0.005, max_batch=16)
+            result = await submit_keyed(batcher, "solo")
             await batcher.close()
-            return dispatch, results, batcher.stats()
+            return dispatch, result, batcher.stats()
 
-        dispatch, results, stats = asyncio.run(scenario())
-        assert results == ["result:a", "result:b"]
-        assert dispatch.batches == [["a", "b"]]
-        assert stats["plan_errors"] == 1
-        assert stats.get("subbatch_splits", 0) == 0
-
-    def test_indices_the_plan_misses_form_a_trailing_group(self):
-        async def scenario():
-            def partial_plan(items):
-                # Mentions index 0 only (plus junk the batcher must ignore);
-                # the rest must still dispatch as a trailing group.
-                return [("a", [0, 0, 99])]
-
-            dispatch = RecordingDispatch()
-            batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=partial_plan
-            )
-            results = await asyncio.gather(
-                *(batcher.submit(item) for item in ["p", "q", "r"])
-            )
-            await batcher.close()
-            return dispatch, results
-
-        dispatch, results = asyncio.run(scenario())
-        assert results == ["result:p", "result:q", "result:r"]
-        assert sorted(map(tuple, dispatch.batches)) == [("p",), ("q", "r")]
-
-    def test_single_item_batch_skips_the_planner(self):
-        calls = []
-
-        async def scenario():
-            def spy_plan(items):
-                calls.append(list(items))
-                return plan_by_first_char(items)
-
-            dispatch = RecordingDispatch()
-            batcher = MicroBatcher(
-                dispatch, window_seconds=0.005, max_batch=16, plan=spy_plan
-            )
-            result = await batcher.submit("solo")
-            await batcher.close()
-            return dispatch, result
-
-        dispatch, result = asyncio.run(scenario())
+        dispatch, result, stats = asyncio.run(scenario())
         assert result == "result:solo"
         assert dispatch.batches == [["solo"]]
-        assert calls == []
+        assert stats.get("subbatch_splits", 0) == 0

@@ -1,6 +1,4 @@
-"""Tests for batched instantiation with deduplication and fan-out."""
-
-from concurrent.futures import ThreadPoolExecutor
+"""Tests for batched instantiation with deduplication."""
 
 import pytest
 
@@ -89,34 +87,6 @@ class TestResultsMatchSequential:
         hits_before = memo.memo_stats.hits
         instantiate_batch(memo, batch)
         assert memo.memo_stats.hits == hits_before + 2
-
-
-class TestParallelism:
-    def test_worker_pool_matches_serial(self):
-        structure = build_structure(4)
-        instantiator = PlacementInstantiator(structure)
-        batch = [all_dims(4, 4 + (i % 9), 4 + ((i * 3) % 9)) for i in range(24)]
-        serial = instantiate_batch(instantiator, batch)
-        parallel = instantiate_batch(instantiator, batch, max_workers=4)
-        assert serial.unique_queries == parallel.unique_queries
-        for a, b in zip(serial, parallel):
-            assert a.source == b.source
-            assert dict(a.rects) == dict(b.rects)
-
-    def test_external_executor_is_used_and_left_running(self):
-        instantiator = PlacementInstantiator(build_structure())
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            result = instantiate_batch(
-                instantiator, [all_dims(2, 5, 5), all_dims(2, 6, 6)], executor=pool
-            )
-            assert result.total_queries == 2
-            # The pool must still accept work after the batch call.
-            assert pool.submit(lambda: 42).result() == 42
-
-    def test_small_batches_stay_serial(self):
-        instantiator = PlacementInstantiator(build_structure())
-        result = instantiate_batch(instantiator, [all_dims(2, 5, 5)], max_workers=8)
-        assert result.total_queries == 1
 
 
 class TestBatchResult:
