@@ -60,6 +60,8 @@ class Net:
             raise ValueError(f"net {self.name}: weight must be positive")
         if not isinstance(self.terminals, tuple):
             object.__setattr__(self, "terminals", tuple(self.terminals))
+        if not isinstance(self.io_position, tuple):
+            object.__setattr__(self, "io_position", tuple(self.io_position))
         if not self.terminals and not self.external:
             raise ValueError(f"net {self.name}: must have terminals or be external")
         fx, fy = self.io_position

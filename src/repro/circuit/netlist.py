@@ -31,6 +31,8 @@ class Circuit:
         if not self.name:
             raise ValueError("circuit name must be non-empty")
         self._index: Dict[str, int] = {}
+        #: Digest memo of :func:`repro.service.fingerprint.circuit_fingerprint`.
+        self._fingerprint_memo: Dict[bool, Tuple[List[object], str]] = {}
         self._reindex()
 
     def _reindex(self) -> None:

@@ -31,7 +31,9 @@ class SymmetryGroup:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("symmetry group name must be non-empty")
-        if not isinstance(self.pairs, tuple):
+        if not isinstance(self.pairs, tuple) or not all(
+            isinstance(pair, tuple) for pair in self.pairs
+        ):
             object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
         if not isinstance(self.self_symmetric, tuple):
             object.__setattr__(self, "self_symmetric", tuple(self.self_symmetric))

@@ -50,6 +50,17 @@ FALLBACK_BEST_STORED = "best_stored"
 FALLBACK_TEMPLATE = "template"
 
 
+class ClampedDims(tuple):
+    """A dimension vector its caller already clamped into the circuit's bounds.
+
+    :meth:`PlacementInstantiator.instantiate` skips its own clamping pass
+    for this type.  Wrap only a vector clamped against the same
+    instantiator's circuit, as the service memo does with its key.
+    """
+
+    __slots__ = ()
+
+
 class PlacementInstantiator(Placer):
     """Turn dimension vectors into concrete floorplans using a generated structure."""
 
@@ -101,11 +112,13 @@ class PlacementInstantiator(Placer):
     def instantiate(self, dims: Sequence[Dims]) -> Placement:
         """Instantiate the best placement for ``dims`` (clamped into block bounds)."""
         with Timer() as timer:
-            circuit = self._structure.circuit
-            clamped = tuple(
-                block.clamp_dims(int(w), int(h))
-                for block, (w, h) in zip(circuit.blocks, dims)
-            )
+            if type(dims) is ClampedDims:
+                clamped = tuple(dims)
+            else:
+                clamped = tuple(
+                    block.clamp_dims(int(w), int(h))
+                    for block, (w, h) in zip(self._structure.circuit.blocks, dims)
+                )
             rects, source, index, cost = self._lookup(clamped)
         with self._stats_lock:
             self._queries += 1

@@ -15,7 +15,9 @@ index are already warm.  Mixed batches split by circuit *before* fan-out
 they were submitted with), so a fast shard's requests resolve without
 waiting for a slow shard's.
 
-Routing decisions are cached per circuit object; recording is
+Routing keeps no cache of its own: :func:`structure_key` is memoized on
+the circuit and revalidated on every call, so a circuit mutated after
+its first route moves to its new key and shard.  Recording is
 thread-safe because dispatches land on executor threads.  Everything the
 router observes is exposed twice: ``serve.affinity.*`` metrics (hit/miss
 counters and per-shard latency histograms) and a structured
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.sharding import (
@@ -96,10 +98,6 @@ class AffinityRouter:
         self._owner_map = ShardOwnerMap(
             workers=max(1, self._workers), shard_chars=shard_chars
         )
-        #: id(circuit) -> (circuit, decision); the strong reference keeps
-        #: the id stable for the entry's lifetime (same trick the server's
-        #: batcher map used).
-        self._decisions: Dict[int, Tuple[Any, AffinityDecision]] = {}
         self._lock = threading.Lock()
         self._shard_stats: Dict[str, Dict[str, float]] = {}
 
@@ -118,23 +116,17 @@ class AffinityRouter:
         return self._owner_map
 
     def route(self, circuit: Any, config: Optional[Any] = None) -> AffinityDecision:
-        """The (cached) routing decision for ``circuit``.
+        """The routing decision for ``circuit``.
 
         ``config`` defaults to the service's default generation config so
         the computed key matches what the dispatch path will look up.
         """
-        entry = self._decisions.get(id(circuit))
-        if entry is not None:
-            return entry[1]
         key = structure_key(
             circuit, config if config is not None else self._service.default_config
         )
         shard = self._owner_map.prefix_for(key)
         slot = self._owner_map.owner_for(shard) if self.active else None
-        decision = AffinityDecision(key=key, shard=shard, slot=slot)
-        with self._lock:
-            self._decisions[id(circuit)] = (circuit, decision)
-        return decision
+        return AffinityDecision(key=key, shard=shard, slot=slot)
 
     # ------------------------------------------------------------------ #
     # Observation

@@ -614,15 +614,16 @@ class PlacementServer:
         if path in ("/healthz", "/metrics", "/debug/statusz", "/debug/tracez", "/debug/vars"):
             if method != "GET":
                 raise MethodNotAllowed(f"{path} only supports GET")
+            close = request.wants_close
             if path == "/healthz":
-                return self._handle_healthz()
+                return self._handle_healthz(close)
             if path == "/metrics":
-                return self._handle_metrics()
+                return self._handle_metrics(close)
             if path == "/debug/statusz":
-                return self._handle_statusz()
+                return self._handle_statusz(close)
             if path == "/debug/tracez":
                 return self._handle_tracez(request)
-            return self._handle_vars()
+            return self._handle_vars(close)
         if path in _API_PATHS:
             if method != "POST":
                 raise MethodNotAllowed(f"{path} only supports POST")
@@ -639,7 +640,7 @@ class PlacementServer:
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
-    def _handle_healthz(self) -> _HandlerResult:
+    def _handle_healthz(self, close: bool) -> _HandlerResult:
         loop = asyncio.get_running_loop()
         payload = {
             "status": "draining" if self._draining else "ok",
@@ -652,9 +653,9 @@ class PlacementServer:
                 else 0.0
             ),
         }
-        return _HandlerResult(response=json_response(200, payload))
+        return _HandlerResult(response=json_response(200, payload, close=close))
 
-    def _handle_metrics(self) -> _HandlerResult:
+    def _handle_metrics(self, close: bool) -> _HandlerResult:
         # Three registries render into one exposition: the server's own
         # serve.* metrics, a consistent snapshot of the service counters,
         # and (when tracing is on) the process-global repro.obs registry.
@@ -665,7 +666,7 @@ class PlacementServer:
         body = "".join(parts).encode("utf-8")
         return _HandlerResult(
             response=render_response(
-                200, body, content_type="text/plain; version=0.0.4"
+                200, body, content_type="text/plain; version=0.0.4", close=close
             )
         )
 
@@ -704,7 +705,9 @@ class PlacementServer:
         if item.batch_id is not None:
             obs_span.set(batch_id=item.batch_id, batch_size=item.batch_size)
         return _HandlerResult(
-            response=json_response(200, placement_payload(placement)),
+            response=json_response(
+                200, placement_payload(placement), close=request.wants_close
+            ),
             ticket=ticket,
             batch_id=item.batch_id,
             cost=1,
@@ -763,7 +766,7 @@ class PlacementServer:
             raise
         if stream:
             return _HandlerResult(
-                response=stream_response_head(200),
+                response=stream_response_head(200, close=request.wants_close),
                 ticket=ticket,
                 cost=len(queries),
                 stream=self._stream_shard_chunks(shards, tasks, started),
@@ -794,7 +797,9 @@ class PlacementServer:
                 for (group_circuit, decision, positions), batch in zip(shards, batches)
             ]
         return _HandlerResult(
-            response=json_response(200, body), ticket=ticket, cost=len(queries)
+            response=json_response(200, body, close=request.wants_close),
+            ticket=ticket,
+            cost=len(queries),
         )
 
     async def _stream_shard_chunks(self, groups, tasks, started):
@@ -863,7 +868,9 @@ class PlacementServer:
             ticket.release()
             raise
         return _HandlerResult(
-            response=json_response(200, routed_payload(placement, layout)),
+            response=json_response(
+                200, routed_payload(placement, layout), close=request.wants_close
+            ),
             ticket=ticket,
             cost=1,
         )
@@ -871,7 +878,7 @@ class PlacementServer:
     # ------------------------------------------------------------------ #
     # Debug plane
     # ------------------------------------------------------------------ #
-    def _handle_statusz(self) -> _HandlerResult:
+    def _handle_statusz(self, close: bool) -> _HandlerResult:
         loop = asyncio.get_running_loop()
         import platform as _platform
 
@@ -898,9 +905,10 @@ class PlacementServer:
                 "flight_records": len(self._flight),
             },
         }
-        return _HandlerResult(response=json_response(200, payload))
+        return _HandlerResult(response=json_response(200, payload, close=close))
 
     def _handle_tracez(self, request: HttpRequest) -> _HandlerResult:
+        close = request.wants_close
         query = urllib.parse.urlparse(request.path).query
         params = urllib.parse.parse_qs(query)
         trace_id = params.get("trace_id", [None])[0]
@@ -914,24 +922,26 @@ class PlacementServer:
                     "traceEvents": spans_to_chrome_events(records),
                     "displayTimeUnit": "ms",
                 }
-                return _HandlerResult(response=json_response(200, body))
+                return _HandlerResult(response=json_response(200, body, close=close))
             return _HandlerResult(
-                response=json_response(200, {"trace_id": trace_id, "spans": records})
+                response=json_response(
+                    200, {"trace_id": trace_id, "spans": records}, close=close
+                )
             )
         payload = {
             "sampler": self._traces.stats(),
             "traces": self._traces.summaries(),
         }
-        return _HandlerResult(response=json_response(200, payload))
+        return _HandlerResult(response=json_response(200, payload, close=close))
 
-    def _handle_vars(self) -> _HandlerResult:
+    def _handle_vars(self, close: bool) -> _HandlerResult:
         payload: Dict[str, Any] = {
             "serve": self._metrics.snapshot(),
             "service": self._service.snapshot().metrics.snapshot(),
         }
         if _obs_enabled():
             payload["obs"] = _obs_metrics().snapshot()
-        return _HandlerResult(response=json_response(200, payload))
+        return _HandlerResult(response=json_response(200, payload, close=close))
 
     # ------------------------------------------------------------------ #
     # Batching

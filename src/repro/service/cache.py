@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Generic, Hashable, Optional, Sequence, Tuple, TypeVar
 
 from repro.api.placement import Placement
-from repro.core.instantiator import PlacementInstantiator
+from repro.core.instantiator import ClampedDims, PlacementInstantiator
 from repro.core.placement_entry import Dims
 
 K = TypeVar("K", bound=Hashable)
@@ -127,7 +127,9 @@ class MemoizingInstantiator:
 
     The memo key is the *clamped* dimension vector — the same normalization
     the instantiator itself applies — so out-of-bounds queries that clamp
-    to the same admissible vector share one entry.
+    to the same admissible vector share one entry.  A miss hands the key
+    on as :class:`~repro.core.instantiator.ClampedDims`, so each query is
+    clamped once.
     """
 
     def __init__(self, instantiator: PlacementInstantiator, capacity: int = 4096) -> None:
@@ -200,7 +202,7 @@ class MemoizingInstantiator:
         cached = self._memo.get(key)
         if cached is not None:
             return cached, True
-        result = self._instantiator.instantiate(key)
+        result = self._instantiator.instantiate(ClampedDims(key))
         self._memo.put(key, result)
         return result, False
 

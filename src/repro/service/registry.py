@@ -43,6 +43,10 @@ INDEX_FORMAT_VERSION = 1
 #: Temp files older than this are considered orphaned by a crashed writer.
 STALE_TEMP_SECONDS = 60.0
 
+#: What ``config=None`` keys and generates as; one shared instance, so the
+#: identity memo of :func:`config_fingerprint` hits on that path too.
+_DEFAULT_CONFIG = GeneratorConfig()
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -151,7 +155,7 @@ class StructureRegistry:
     @staticmethod
     def _normalize(config: Optional[GeneratorConfig]) -> GeneratorConfig:
         """``None`` means the default config — key and generate it as such."""
-        return config if config is not None else GeneratorConfig()
+        return config if config is not None else _DEFAULT_CONFIG
 
     def key_for(self, circuit: Circuit, config: Optional[GeneratorConfig] = None) -> str:
         """The registry key of ``circuit`` under ``config``.

@@ -60,6 +60,18 @@ class TestNet:
         with pytest.raises(ValueError):
             Net("n1", (Terminal("a"),), external=True, io_position=(2.0, 0.0))
 
+    def test_list_io_position_is_frozen_to_a_tuple(self):
+        position = [1.0, 0.25]
+        net = Net("n1", (Terminal("a"),), external=True, io_position=position)
+        assert net.io_position == (1.0, 0.25)
+        assert isinstance(net.io_position, tuple)
+        # Hashable like every frozen net, and detached from the caller's list.
+        assert hash(net) == hash(
+            Net("n1", (Terminal("a"),), external=True, io_position=(1.0, 0.25))
+        )
+        position[0] = 0.0
+        assert net.io_position == (1.0, 0.25)
+
     def test_with_weight(self):
         net = Net("n1", (Terminal("a"), Terminal("b")))
         heavier = net.with_weight(3.0)

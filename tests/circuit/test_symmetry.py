@@ -43,3 +43,11 @@ class TestSymmetryGroup:
     def test_best_axis_of_empty_layout(self):
         group = SymmetryGroup("g", pairs=(("a", "b"),))
         assert group.best_axis({}) == 0.0
+
+    def test_list_pairs_inside_a_tuple_are_frozen(self):
+        pair = ["a", "b"]
+        group = SymmetryGroup("g", pairs=(pair,))
+        assert group.pairs == (("a", "b"),)
+        pair[1] = "z"
+        assert group.pairs == (("a", "b"),)
+        hash(group)

@@ -64,8 +64,11 @@ class TestAffinityRouter:
         assert decision.key == structure_key(circuit, SMOKE)
         assert decision.shard == decision.key[: registry.shard_chars]
         assert decision.slot == router.owner_map.owner_for(decision.shard)
-        # Cached: the same circuit object yields the same decision.
-        assert router.route(circuit) is decision
+        # The unchanged circuit routes the same way again...
+        assert router.route(circuit) == decision
+        # ...and a mutated one moves to its new key (no stale decision).
+        circuit.blocks[0].max_w += 1
+        assert router.route(circuit).key != decision.key
 
     def test_router_honours_registry_shard_chars(self, tmp_path):
         registry = ShardedStructureRegistry(tmp_path / "registry", shard_chars=3)

@@ -16,7 +16,7 @@ import pytest
 from repro.serve.harness import ServerHarness
 from repro.serve.protocol import BadRequest
 from repro.serve.server import _read_request
-from tests.serve.conftest import make_service
+from tests.serve.conftest import CHAIN_DIMS, make_service
 
 
 def parse(raw: bytes, max_body_bytes: int = 1 << 20):
@@ -123,3 +123,28 @@ class TestFramingOnTheWire:
         assert "keep-alive" not in head
         payload = json.loads(response.split(b"\r\n\r\n", 1)[1])
         assert "error" in payload
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("GET", "/healthz", None),
+            ("POST", "/place", {"dims": CHAIN_DIMS}),
+            ("POST", "/place_batch", {"dims_batch": [CHAIN_DIMS]}),
+            ("POST", "/place_batch", {"dims_batch": [CHAIN_DIMS], "stream": True}),
+        ],
+    )
+    def test_success_response_honours_client_connection_close(
+        self, chain_payload, method, path, body
+    ):
+        data = b"" if body is None else json.dumps({"circuit": chain_payload, **body}).encode()
+        raw = (
+            f"{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"Content-Length: {len(data)}\r\n\r\n"
+        ).encode() + data
+        with ServerHarness(make_service()) as harness:
+            response = exchange(harness.port, raw)
+        head = head_of(response)
+        assert head.startswith("HTTP/1.1 200")
+        assert "Connection: close" in head
+        assert "keep-alive" not in head
+        assert response.count(b"HTTP/1.1 ") == 1

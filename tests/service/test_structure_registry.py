@@ -46,6 +46,12 @@ class TestGetOrGenerate:
         circuit = build_chain_circuit()
         assert registry.key_for(circuit, None) == registry.key_for(circuit, GeneratorConfig())
 
+    def test_none_normalizes_to_one_shared_default(self):
+        # One instance, so the config digest memo (by identity) hits.
+        default = StructureRegistry._normalize(None)
+        assert default == GeneratorConfig()
+        assert StructureRegistry._normalize(None) is default
+
     def test_persists_across_instances(self, registry):
         circuit = build_chain_circuit()
         registry.get_or_generate(circuit, SMOKE)
