@@ -20,6 +20,17 @@ Three tiers are tried in order:
 Tier 2 can be disabled (``fallback_mode="template"``) to reproduce the
 strictest reading of the paper.
 
+A single query does no search the structure could have done ahead of
+time (see :mod:`repro.core.compiled`).  Tier 2 scans a legality plan
+compiled once per structure state: per stored placement, canvas caps and
+per-pair overlap thresholds of its fixed anchors, tried in ascending
+``(best_cost, index)`` order with early exit.  The plan prunes nothing,
+so it stays sound for any positive dims.  The winner is then scored from
+its index-ordered anchors and dims against a net-terminal table compiled
+once per cost function — bitwise equal to
+:meth:`~repro.cost.cost_function.PlacementCostFunction.evaluate`, which
+still scores every layout for cost subclasses that override evaluation.
+
 :class:`PlacementInstantiator` is the ``"mps"`` engine of the unified
 placement API: it implements :class:`repro.api.Placer` (``place`` /
 ``place_batch`` / ``stats``), returns the unified
@@ -38,10 +49,10 @@ from repro.api.placement import (
     SOURCE_STRUCTURE,
 )
 from repro.api.placer import Placer
+from repro.core.compiled import IndexedScorer, LegalityPlan
 from repro.core.placement_entry import Dims, StoredPlacement
 from repro.core.structure import MultiPlacementStructure
 from repro.cost.cost_function import CostBreakdown, PlacementCostFunction
-from repro.geometry.overlap import any_overlap
 from repro.geometry.rect import Rect
 from repro.utils.timer import Timer
 
@@ -53,9 +64,11 @@ FALLBACK_TEMPLATE = "template"
 class ClampedDims(tuple):
     """A dimension vector its caller already clamped into the circuit's bounds.
 
-    :meth:`PlacementInstantiator.instantiate` skips its own clamping pass
-    for this type.  Wrap only a vector clamped against the same
-    instantiator's circuit, as the service memo does with its key.
+    :meth:`PlacementInstantiator.instantiate` and
+    :meth:`~PlacementInstantiator.instantiate_many` skip their own clamping
+    pass for this type.  Wrap only a vector clamped against the same
+    instantiator's circuit, as the service memo and ``instantiate_batch``
+    do with their keys.
     """
 
     __slots__ = ()
@@ -81,10 +94,15 @@ class PlacementInstantiator(Placer):
             structure.circuit, structure.bounds
         )
         self._fallback_mode = fallback_mode
-        #: (structure mutation count, placements in ascending best-cost order).
-        self._sorted_stored: Optional[Tuple[int, Tuple[StoredPlacement, ...]]] = None
-        #: (structure mutation count, stacked stored anchors (S, B, 2)).
-        self._stored_anchor_stack: Optional[Tuple[int, object]] = None
+        #: Scores winners from index-ordered anchors and dims; ``None`` for
+        #: cost subclasses that override evaluation (their ``evaluate`` runs).
+        self._scorer: Optional[IndexedScorer] = (
+            IndexedScorer(self._cost_function)
+            if self._cost_function.supports_vectorized
+            else None
+        )
+        #: (structure mutation count, legality plan in ascending best-cost order).
+        self._legality: Optional[Tuple[int, LegalityPlan]] = None
         self._stats_lock = threading.Lock()
         self._tier_hits: Dict[str, int] = {
             SOURCE_STRUCTURE: 0,
@@ -109,16 +127,19 @@ class PlacementInstantiator(Placer):
         """The configured fallback behaviour."""
         return self._fallback_mode
 
+    def clamp(self, dims: Sequence[Dims]) -> ClampedDims:
+        """``dims`` clamped into the block bounds; a :class:`ClampedDims` is returned as is."""
+        if type(dims) is ClampedDims:
+            return dims
+        return ClampedDims(
+            block.clamp_dims(int(w), int(h))
+            for block, (w, h) in zip(self._structure.circuit.blocks, dims)
+        )
+
     def instantiate(self, dims: Sequence[Dims]) -> Placement:
         """Instantiate the best placement for ``dims`` (clamped into block bounds)."""
         with Timer() as timer:
-            if type(dims) is ClampedDims:
-                clamped = tuple(dims)
-            else:
-                clamped = tuple(
-                    block.clamp_dims(int(w), int(h))
-                    for block, (w, h) in zip(self._structure.circuit.blocks, dims)
-                )
+            clamped = tuple(self.clamp(dims))
             rects, source, index, cost = self._lookup(clamped)
         with self._stats_lock:
             self._queries += 1
@@ -176,13 +197,9 @@ class PlacementInstantiator(Placer):
         from repro.eval.batch import record_batch
 
         with Timer() as timer:
-            circuit = self._structure.circuit
             resolved: List[Tuple[Tuple[Dims, ...], Tuple[Tuple[int, int], ...], str, Optional[int]]] = []
             for dims in dims_batch:
-                clamped = tuple(
-                    block.clamp_dims(int(w), int(h))
-                    for block, (w, h) in zip(circuit.blocks, dims)
-                )
+                clamped = tuple(self.clamp(dims))
                 anchors, source, index = self._resolve_anchors(clamped)
                 resolved.append((clamped, anchors, source, index))
             anchors_batch = [anchors for _, anchors, _, _ in resolved]
@@ -264,30 +281,16 @@ class PlacementInstantiator(Placer):
         self, clamped: Tuple[Dims, ...]
     ) -> Tuple[Dict[str, Rect], str, Optional[int], CostBreakdown]:
         """``(rects, source, placement_index, cost)`` for one clamped query."""
-        placement = self._structure.query(clamped)
-        if placement is not None:
-            rects = self._rects(placement.anchors, clamped)
-            return rects, SOURCE_STRUCTURE, placement.index, self._cost_function.evaluate(rects)
-
-        if self._fallback_mode == FALLBACK_BEST_STORED:
-            nearest = self._best_feasible_stored(clamped)
-            if nearest is not None:
-                stored, rects, cost = nearest
-                return rects, SOURCE_NEAREST, stored.index, cost
-
-        anchors = self._fallback_anchors()
+        anchors, source, index = self._resolve_anchors(clamped)
         rects = self._rects(anchors, clamped)
-        return rects, SOURCE_FALLBACK, None, self._cost_function.evaluate(rects)
+        if self._scorer is None:
+            return rects, source, index, self._cost_function.evaluate(rects)
+        return rects, source, index, self._scorer.evaluate(anchors, clamped, rects)
 
     def _resolve_anchors(
         self, clamped: Tuple[Dims, ...]
     ) -> Tuple[Tuple[Tuple[int, int], ...], str, Optional[int]]:
-        """``(anchors, source, placement_index)`` — tier resolution without costing.
-
-        Runs the exact tier order of :meth:`_lookup` but leaves cost
-        evaluation to the caller, so :meth:`instantiate_many` can score a
-        whole batch of resolved layouts in one sweep.
-        """
+        """``(anchors, source, placement_index)`` — the tier order, without costing."""
         placement = self._structure.query(clamped)
         if placement is not None:
             return placement.anchors, SOURCE_STRUCTURE, placement.index
@@ -297,97 +300,30 @@ class PlacementInstantiator(Placer):
                 return stored.anchors, SOURCE_NEAREST, stored.index
         return self._fallback_anchors(), SOURCE_FALLBACK, None
 
-    def _best_feasible_stored(
-        self, dims: Tuple[Dims, ...]
-    ) -> Optional[Tuple[StoredPlacement, Dict[str, Rect], CostBreakdown]]:
-        """The lowest-cost stored placement that is legal at ``dims``, if any.
-
-        Stored placements are tried in ascending ``best_cost`` order so the
-        first legal hit is the answer; the cost function then runs exactly
-        once, on the winner, instead of on every legal candidate.
-        """
-        stored = self._best_feasible_entry(dims)
-        if stored is None:
-            return None
-        rects = self._rects(stored.anchors, dims)
-        return stored, rects, self._cost_function.evaluate(rects)
-
     def _best_feasible_entry(self, dims: Tuple[Dims, ...]) -> Optional[StoredPlacement]:
-        """First stored placement (ascending best-cost order) legal at ``dims``.
+        """First stored placement, in ascending ``(best_cost, index)`` order, legal at ``dims``.
 
-        With numpy available the legality of *all* stored candidates is
-        checked in one :meth:`~repro.eval.BatchEvaluator.feasible_mask`
-        sweep over the cached stored-anchor tensor, short-circuiting on the
-        first feasible index; the mask reproduces the scalar
-        ``contains``/``intersects`` checks exactly, so the winner — and
-        therefore the tier-hit statistics — are identical to the scalar
-        scan.
+        Scans the structure's :class:`~repro.core.compiled.LegalityPlan`,
+        compiled on first use and again whenever ``mutation_count`` moves:
+        per placement, the canvas caps first, then the block-pair overlap
+        thresholds, each stopping at the first failure.  The plan answers
+        exactly what ``bounds.contains`` plus ``any_overlap`` answer on the
+        placed rects, for any positive dims — it prunes no pair, so a block
+        whose bounds change later cannot leave it stale.
         """
-        ordered = self._stored_by_best_cost()
-        if not ordered:
-            return None
-        evaluator = self._vector()
-        if evaluator is not None and len(ordered) > 1:
-            from repro.eval.batch import record_batch
-
-            mask = evaluator.feasible_mask(
-                evaluator.stack(self._stored_anchor_array(ordered), dims)
-            )
-            record_batch(len(ordered))
-            with self._stats_lock:
-                self._vector_counters["batch_evals"] += 1
-                self._vector_counters["batch_candidates"] += len(ordered)
-            hits = mask.nonzero()[0]
-            return ordered[int(hits[0])] if hits.size else None
-        for stored in ordered:
-            if self._is_legal(self._rects(stored.anchors, dims)):
-                return stored
-        return None
+        version = self._structure.mutation_count
+        cached = self._legality
+        if cached is None or cached[0] != version:
+            ordered = sorted(self._structure, key=lambda sp: (sp.best_cost, sp.index))
+            cached = (version, LegalityPlan(ordered, self._structure.bounds))
+            self._legality = cached
+        return cached[1].first_legal(dims)
 
     def _vector(self):
-        """The batch evaluator for this instantiator, or ``None`` (scalar path).
-
-        Beyond :func:`~repro.eval.batch.batch_evaluator_for`'s own gating,
-        the legality sweep additionally requires the cost function's bounds
-        to be the structure's canvas — ``_is_legal`` checks against the
-        structure, so a custom cost function scoring a different canvas
-        must keep the scalar scan.
-        """
+        """The cached batch evaluator of the cost function, or ``None`` (scalar loop)."""
         from repro.eval.batch import batch_evaluator_for
 
-        evaluator = batch_evaluator_for(self._cost_function)
-        if evaluator is None or self._cost_function.bounds != self._structure.bounds:
-            return None
-        return evaluator
-
-    def _stored_anchor_array(self, ordered: Tuple[StoredPlacement, ...]):
-        """Stacked ``(n_stored, n_blocks, 2)`` anchors, cached per structure state."""
-        version = self._structure.mutation_count
-        cached = self._stored_anchor_stack
-        if cached is None or cached[0] != version:
-            from repro.eval.vector import require_numpy
-
-            np = require_numpy()
-            cached = (version, np.asarray([sp.anchors for sp in ordered], dtype=np.int64))
-            self._stored_anchor_stack = cached
-        return cached[1]
-
-    def _stored_by_best_cost(self) -> Tuple[StoredPlacement, ...]:
-        """Stored placements sorted ascending by best cost, cached per structure state."""
-        version = self._structure.mutation_count
-        if self._sorted_stored is None or self._sorted_stored[0] != version:
-            ordered = tuple(
-                sorted(self._structure, key=lambda sp: (sp.best_cost, sp.index))
-            )
-            self._sorted_stored = (version, ordered)
-        return self._sorted_stored[1]
-
-    def _is_legal(self, rects: Dict[str, Rect]) -> bool:
-        bounds = self._structure.bounds
-        rect_list = list(rects.values())
-        if any(not bounds.contains(rect) for rect in rect_list):
-            return False
-        return not any_overlap(rect_list)
+        return batch_evaluator_for(self._cost_function)
 
     def _fallback_anchors(self) -> Tuple[Tuple[int, int], ...]:
         anchors = self._structure.fallback_anchors

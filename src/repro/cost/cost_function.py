@@ -136,17 +136,18 @@ class PlacementCostFunction:
     def supports_incremental(self) -> bool:
         """True when :meth:`bind` yields deltas matching this evaluation.
 
-        Subclasses that override :meth:`evaluate`, :meth:`evaluate_layout`
-        or :meth:`rects_from` change the evaluation in ways the generic
-        :class:`~repro.eval.IncrementalEvaluator` knows nothing about;
-        optimizers check this flag and fall back to the from-scratch path
-        for them (see the README migration note).
+        Subclasses that override :meth:`evaluate`, :meth:`evaluate_layout`,
+        :meth:`rects_from` or :meth:`breakdown_from` change the evaluation
+        in ways the generic :class:`~repro.eval.IncrementalEvaluator` knows
+        nothing about; optimizers check this flag and fall back to the
+        from-scratch path for them (see the README migration note).
         """
         cls = type(self)
         return (
             cls.evaluate is PlacementCostFunction.evaluate
             and cls.evaluate_layout is PlacementCostFunction.evaluate_layout
             and cls.rects_from is PlacementCostFunction.rects_from
+            and cls.breakdown_from is PlacementCostFunction.breakdown_from
         )
 
     @property
@@ -154,14 +155,14 @@ class PlacementCostFunction:
         """True when :meth:`batch` scores stacked layouts matching this evaluation.
 
         Mirrors :attr:`supports_incremental`: subclasses that override
-        :meth:`evaluate`, :meth:`evaluate_layout` or :meth:`rects_from`
-        change the evaluation in ways the generic array kernels know
-        nothing about.  :meth:`compose` is additionally checked because
-        the :class:`~repro.eval.vector.BatchEvaluator` re-expresses its
-        weighting arithmetic elementwise rather than calling it.  Batch
-        consumers check this flag (via
-        :func:`repro.eval.batch.batch_evaluator_for`) and fall back to
-        the scalar loop for overriding subclasses.
+        :meth:`evaluate`, :meth:`evaluate_layout`, :meth:`rects_from` or
+        :meth:`breakdown_from` change the evaluation in ways the generic
+        array kernels know nothing about.  :meth:`compose` is additionally
+        checked because the :class:`~repro.eval.vector.BatchEvaluator`
+        re-expresses its weighting arithmetic elementwise rather than
+        calling it.  Batch consumers check this flag (via
+        :func:`repro.eval.batch.batch_evaluator_for`) and fall back to the
+        scalar loop for overriding subclasses.
         """
         cls = type(self)
         return (
@@ -169,6 +170,7 @@ class PlacementCostFunction:
             and cls.evaluate_layout is PlacementCostFunction.evaluate_layout
             and cls.rects_from is PlacementCostFunction.rects_from
             and cls.compose is PlacementCostFunction.compose
+            and cls.breakdown_from is PlacementCostFunction.breakdown_from
         )
 
     def batch(self) -> "BatchEvaluator":
@@ -245,9 +247,19 @@ class PlacementCostFunction:
 
     def evaluate(self, rects: Dict[str, Rect]) -> CostBreakdown:
         """Score a layout given as a mapping of block name to placed rectangle."""
-        weights = self._weights
         wirelength = total_wirelength(self._circuit, rects, self._bounds, self._model)
-        area = area_cost(rects)
+        return self.breakdown_from(rects, wirelength, area_cost(rects))
+
+    def breakdown_from(
+        self, rects: Dict[str, Rect], wirelength: float, area: float
+    ) -> CostBreakdown:
+        """Weigh an already-measured ``wirelength`` and ``area`` with the penalties of ``rects``.
+
+        The second half of :meth:`evaluate`, shared with the instantiator's
+        compiled scorer, which measures the first two terms from
+        index-ordered anchors and dims.
+        """
+        weights = self._weights
         overlap = overlap_penalty(rects) if weights.overlap else 0.0
         oob = 0.0
         if weights.out_of_bounds and self._bounds is not None:

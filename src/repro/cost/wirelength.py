@@ -18,6 +18,37 @@ from repro.geometry.rect import Rect
 
 Position = Tuple[float, float]
 
+#: One net compiled for index-ordered arithmetic: its ``(block_index, fx,
+#: fy)`` pin slots in terminal order, then its constant external I/O point
+#: (``None`` when the net has none or there are no bounds).
+CompiledNet = Tuple[Tuple[Tuple[int, float, float], ...], Optional[Position]]
+
+
+def compile_net_terminals(
+    circuit: Circuit, bounds: Optional[FloorplanBounds] = None
+) -> List[CompiledNet]:
+    """Every net of ``circuit`` flattened into :data:`CompiledNet` form.
+
+    A pin slot sits at ``x + fx*w, y + fy*h`` of block ``block_index``'s
+    rect — :meth:`~repro.geometry.rect.Rect.terminal_position`'s
+    arithmetic — and the external point is the one
+    :func:`net_terminal_positions` appends, so positions built from the
+    compiled form equal that function's bitwise, in the same order,
+    without its per-call name, block and pin lookups.
+    """
+    compiled: List[CompiledNet] = []
+    for net in circuit.nets:
+        pins = []
+        for terminal in net.terminals:
+            pin = circuit.block(terminal.block).pin(terminal.pin)
+            pins.append((circuit.block_index(terminal.block), pin.fx, pin.fy))
+        external: Optional[Position] = None
+        if net.external and bounds is not None:
+            fx, fy = net.io_position
+            external = (fx * bounds.width, fy * bounds.height)
+        compiled.append((tuple(pins), external))
+    return compiled
+
 
 def net_terminal_positions(
     net: Net,

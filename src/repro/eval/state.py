@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.cost.penalties import DEFAULT_TRACK_CAPACITY, rudy_net_entries
-from repro.cost.wirelength import wirelength_estimator
+from repro.cost.wirelength import CompiledNet, compile_net_terminals, wirelength_estimator
 from repro.geometry.floorplan import FloorplanBounds
 from repro.geometry.overlap import SpatialGrid, auto_cell_size
 from repro.geometry.rect import Rect
@@ -108,25 +108,10 @@ class LayoutState:
         for net_index, net in enumerate(circuit.nets):
             for name in net.blocks():
                 self._block_nets[circuit.block_index(name)].append(net_index)
-        # Flattened terminals per net — (block_index, fx, fy) triples plus
-        # the constant external I/O position — so re-measuring a net is
-        # arithmetic over the rect list instead of name/pin lookups.  The
-        # position formula is Rect.terminal_position's, so values match
-        # net_terminal_positions bitwise.
-        self._net_terminals: List[List[Tuple[int, float, float]]] = []
-        self._net_external: List[Optional[Tuple[float, float]]] = []
-        for net in circuit.nets:
-            terms = []
-            for terminal in net.terminals:
-                block = circuit.block(terminal.block)
-                pin = block.pin(terminal.pin)
-                terms.append((circuit.block_index(terminal.block), pin.fx, pin.fy))
-            self._net_terminals.append(terms)
-            if net.external and bounds is not None:
-                fx, fy = net.io_position
-                self._net_external.append((fx * bounds.width, fy * bounds.height))
-            else:
-                self._net_external.append(None)
+        # Flattened terminals per net, so re-measuring a net is arithmetic
+        # over the rect list instead of name/pin lookups (bitwise equal to
+        # net_terminal_positions, see compile_net_terminals).
+        self._net_terminals: List[CompiledNet] = compile_net_terminals(circuit, bounds)
         self._block_groups: List[List[int]] = [[] for _ in range(circuit.num_blocks)]
         if self._track_symmetry:
             for group_index, group in enumerate(circuit.symmetry_groups):
@@ -238,11 +223,11 @@ class LayoutState:
         pin lookups.
         """
         rects = self._rects
+        pins, external = self._net_terminals[net_index]
         positions = []
-        for block_index, fx, fy in self._net_terminals[net_index]:
+        for block_index, fx, fy in pins:
             rect = rects[block_index]
             positions.append((rect.x + fx * rect.w, rect.y + fy * rect.h))
-        external = self._net_external[net_index]
         if external is not None:
             positions.append(external)
         return positions

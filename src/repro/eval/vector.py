@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cost.cost_function import CostBreakdown, PlacementCostFunction
 from repro.cost.penalties import DEFAULT_TRACK_CAPACITY
+from repro.cost.wirelength import compile_net_terminals
 
 try:  # pragma: no cover - exercised by uninstalling numpy
     import numpy as _np
@@ -191,21 +192,14 @@ class BatchEvaluator:
         # --- per-net terminal gather arrays (padded dense (N, D) layout) ---
         # Each slot is either a (block_index, fx, fy) pin — position
         # X + fx*W, Y + fy*H, Rect.terminal_position's arithmetic — or the
-        # net's constant external I/O point, exactly as LayoutState
-        # precomputes them.  Padding slots are masked out of reductions.
+        # net's constant external I/O point, both from
+        # compile_net_terminals.  Padding slots are masked out of reductions.
         per_net: List[List[Tuple[int, float, float, float, float, bool]]] = []
         max_deg = 1
-        for net in circuit.nets:
-            slots: List[Tuple[int, float, float, float, float, bool]] = []
-            for terminal in net.terminals:
-                block = circuit.block(terminal.block)
-                pin = block.pin(terminal.pin)
-                slots.append(
-                    (circuit.block_index(terminal.block), pin.fx, pin.fy, 0.0, 0.0, False)
-                )
-            if net.external and bounds is not None:
-                fx, fy = net.io_position
-                slots.append((0, 0.0, 0.0, fx * bounds.width, fy * bounds.height, True))
+        for pins, external in compile_net_terminals(circuit, bounds):
+            slots = [(bi, fx, fy, 0.0, 0.0, False) for bi, fx, fy in pins]
+            if external is not None:
+                slots.append((0, 0.0, 0.0, external[0], external[1], True))
             per_net.append(slots)
             max_deg = max(max_deg, len(slots))
 

@@ -14,10 +14,10 @@ spreading a batch across cores is the process pool's job
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.api.placement import Placement
-from repro.core.instantiator import PlacementInstantiator
+from repro.core.instantiator import ClampedDims, PlacementInstantiator
 from repro.core.placement_entry import Dims
 from repro.service.cache import MemoizingInstantiator
 from repro.utils.grouping import group_positions, scatter
@@ -66,12 +66,11 @@ class BatchResult:
         return self.total_queries / self.elapsed_seconds
 
 
-def _dims_key(instantiator: AnyInstantiator, dims: Sequence[Dims]) -> Tuple[Dims, ...]:
-    """The clamped, hashable dedup key of one query."""
+def _dims_key(instantiator: AnyInstantiator, dims: Sequence[Dims]) -> ClampedDims:
+    """The clamped, hashable dedup key of one query (not clamped again downstream)."""
     if isinstance(instantiator, MemoizingInstantiator):
         return instantiator.cache_key(dims)
-    blocks = instantiator.structure.circuit.blocks
-    return tuple(block.clamp_dims(int(w), int(h)) for block, (w, h) in zip(blocks, dims))
+    return instantiator.clamp(dims)
 
 
 def instantiate_batch(

@@ -151,12 +151,9 @@ class MemoizingInstantiator:
         """Hit/miss/eviction counters of the memo table."""
         return self._memo.stats
 
-    def cache_key(self, dims: Sequence[Dims]) -> Tuple[Dims, ...]:
-        """The clamped, hashable form of a dimension vector."""
-        blocks = self._instantiator.structure.circuit.blocks
-        return tuple(
-            block.clamp_dims(int(w), int(h)) for block, (w, h) in zip(blocks, dims)
-        )
+    def cache_key(self, dims: Sequence[Dims]) -> ClampedDims:
+        """The clamped, hashable form of a dimension vector (a ``ClampedDims`` as is)."""
+        return self._instantiator.clamp(dims)
 
     def instantiate(self, dims: Sequence[Dims]) -> Placement:
         """Memoized :meth:`PlacementInstantiator.instantiate`."""
@@ -166,12 +163,14 @@ class MemoizingInstantiator:
         """Memoized :meth:`PlacementInstantiator.instantiate_many`.
 
         Memo hits are answered from the table; the misses run through the
-        wrapped instantiator's single vectorized cost sweep and are stored
-        for next time.  Memo hit/miss statistics match the per-query path.
+        wrapped instantiator's single vectorized cost sweep — handed on as
+        the :class:`~repro.core.instantiator.ClampedDims` keys, so each is
+        clamped once — and are stored for next time.  Memo hit/miss
+        statistics match the per-query path.
         """
         keys = [self.cache_key(dims) for dims in dims_batch]
         resolved: Dict[Tuple[Dims, ...], Placement] = {}
-        pending: List[Tuple[Dims, ...]] = []
+        pending: List[ClampedDims] = []
         for key in keys:
             if key in resolved or key in pending:
                 continue
@@ -202,7 +201,7 @@ class MemoizingInstantiator:
         cached = self._memo.get(key)
         if cached is not None:
             return cached, True
-        result = self._instantiator.instantiate(ClampedDims(key))
+        result = self._instantiator.instantiate(key)
         self._memo.put(key, result)
         return result, False
 

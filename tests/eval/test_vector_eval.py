@@ -361,13 +361,13 @@ class TestInstantiatorVectorPath:
         for q in queries:
             vectorized.instantiate(q)
         assert {k: vectorized.stats()[k] for k in tier_keys} == scalar_tiers
-        # Every uncovered query ran one feasibility sweep over the six
-        # stored placements.
-        uncovered = scalar_tiers["nearest_hits"] + scalar_tiers["fallback_hits"]
-        vector_stats = vectorized.vector_stats()
-        assert vector_stats["batch_evals"] == uncovered
-        assert vector_stats["batch_candidates"] == uncovered * 6
-        assert vector_stats["vector_fallbacks"] == 0
+        # Single queries rank stored placements on the compiled legality
+        # plan, so neither path runs a vector sweep.
+        assert vectorized.vector_stats() == scalar.vector_stats() == {
+            "batch_evals": 0,
+            "batch_candidates": 0,
+            "vector_fallbacks": 0,
+        }
 
     def test_instantiate_many_fallback_counts(self, monkeypatch):
         monkeypatch.setenv("REPRO_VECTORIZE", "0")

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.core.instantiator import PlacementInstantiator
+from repro.circuit.block import Block
+from repro.core.instantiator import ClampedDims, PlacementInstantiator
 from repro.core.intervals import Interval
 from repro.core.placement_entry import DimensionRange
 from repro.core.structure import MultiPlacementStructure
 from repro.geometry.floorplan import FloorplanBounds
+from repro.service.batch import instantiate_batch
 from repro.service.cache import LRUCache, MemoizingInstantiator
 from tests.conftest import build_chain_circuit
 
@@ -130,3 +132,37 @@ class TestMemoizingInstantiator:
         memo = MemoizingInstantiator(PlacementInstantiator(structure))
         assert memo.structure is structure
         assert memo.instantiator.structure is structure
+
+    def test_instantiate_many_clamps_each_miss_once(self, monkeypatch):
+        # The first and last queries clamp to the same key: three misses.
+        queries = [[(1, 1), (5, 5)], [(5, 5), (6, 6)], [(100, 100), (9, 9)], [(4, 4), (5, 5)]]
+        plain = PlacementInstantiator(build_structure())
+        expected = [plain.instantiate(dims) for dims in queries]
+        clamps = []
+        clamp_dims = Block.clamp_dims
+
+        def counting(block, w, h):
+            clamps.append(block.name)
+            return clamp_dims(block, w, h)
+
+        monkeypatch.setattr(Block, "clamp_dims", counting)
+        memo = MemoizingInstantiator(PlacementInstantiator(build_structure()))
+        got = memo.instantiate_many(queries)
+        assert len(clamps) == len(queries) * 2  # cache_key only, one per block
+        assert memo.memo_stats.misses == 3
+        for a, b in zip(expected, got):
+            assert (b.source, b.cost, dict(b.rects)) == (a.source, a.cost, dict(a.rects))
+            assert b.metadata == a.metadata
+
+        clamps.clear()
+        fresh = MemoizingInstantiator(PlacementInstantiator(build_structure()))
+        batch = instantiate_batch(fresh, queries)
+        assert len(clamps) == len(queries) * 2
+        assert [r.cost for r in batch.results] == [r.cost for r in expected]
+
+    def test_cache_key_passes_clamped_dims_through(self):
+        memo = MemoizingInstantiator(PlacementInstantiator(build_structure()))
+        key = memo.cache_key([(1, 1), (100, 100)])
+        assert type(key) is ClampedDims
+        assert key == ((4, 4), (12, 12))
+        assert memo.cache_key(key) is key
