@@ -9,7 +9,11 @@ or the netlist is compiled once here and reused by every query:
   ``FloorplanBounds.contains`` and ``Rect.intersects`` to;
 * :class:`IndexedScorer` — the cost function's wirelength + area terms
   over index-ordered anchors and dims, with every net terminal resolved
-  to a block index and pin offset ahead of time.
+  to a block index and pin offset ahead of time, and every two-point net
+  (two pins, or one pin and its I/O point) scored inline as its
+  Manhattan distance.  HPWL, star and MST all reduce a two-point net to
+  exactly ``abs(x0 - x1) + abs(y0 - y1)``, so the inline expression — same
+  operands, same order — is the same float the estimator would return.
 
 Both are exact: a plan answers what the scalar ``contains`` /
 :func:`~repro.geometry.overlap.any_overlap` scan answers, and a scorer's
@@ -108,9 +112,18 @@ class LegalityPlan:
 class IndexedScorer:
     """A cost function's :class:`CostBreakdown` from index-ordered anchors and dims.
 
-    Wirelength comes from :func:`~repro.cost.wirelength.compile_net_terminals`
-    with the cost function's own estimator, summed left to right in net
-    order; area is the integer bounding-box area.  Both then go through
+    Wirelength comes from :func:`~repro.cost.wirelength.compile_net_terminals`:
+    each net is compiled once into one record over a point table — the pin
+    slots at ``x + fx*w, y + fy*h``, then the constant external I/O points.
+    A net with exactly two connection points (two pins, or one pin and its
+    I/O point) is scored inline as ``weight * (abs(px - qx) + abs(py - qy))``
+    with its first terminal first; that is the expression every estimator
+    returns for two points (``_two_pin_length``), so the result is the same
+    float.  Every other net goes through the cost function's estimator.
+    Nets accumulate left to right in net order with ``+=``, as
+    :func:`~repro.cost.wirelength.total_wirelength` does — never ``sum()``,
+    whose float rounding differs across Python versions.  Area is the
+    integer bounding-box area.  Both then go through
     :meth:`PlacementCostFunction.breakdown_from` — the second half of
     :meth:`~PlacementCostFunction.evaluate` — which prices any nonzero
     penalty weight on the rects mapping and composes the total.
@@ -122,7 +135,7 @@ class IndexedScorer:
     and pins do not change afterwards.
     """
 
-    __slots__ = ("_cost_function", "_slots", "_nets", "_estimator")
+    __slots__ = ("_cost_function", "_slots", "_externals", "_nets", "_estimator")
 
     def __init__(self, cost_function: PlacementCostFunction) -> None:
         if not cost_function.supports_vectorized:
@@ -131,17 +144,29 @@ class IndexedScorer:
             )
         self._cost_function = cost_function
         circuit = cost_function.circuit
-        # Every net's pin slots back to back, and per net its weight, its
-        # slice of the slots and its external point.
+        compiled = compile_net_terminals(circuit, cost_function.bounds)
         slots: List[Tuple[int, float, float]] = []
-        nets = []
-        for net, (pins, external) in zip(
-            circuit.nets, compile_net_terminals(circuit, cost_function.bounds)
-        ):
-            start = len(slots)
+        for pins, _ in compiled:
             slots.extend(pins)
-            nets.append((net.weight, start, len(slots), external))
+        # Point table: every pin slot back to back, then the external points.
+        externals: List[Tuple[float, float]] = []
+        # Per net ``(weight, p, q, members)``: a two-point net is the pair
+        # of point indices ``p, q`` and ``members is None``; any other net
+        # lists its point indices in ``members``.
+        nets = []
+        start = 0
+        for net, (pins, external) in zip(circuit.nets, compiled):
+            members = list(range(start, start + len(pins)))
+            start += len(pins)
+            if external is not None:
+                members.append(len(slots) + len(externals))
+                externals.append(external)
+            if len(members) == 2:
+                nets.append((net.weight, members[0], members[1], None))
+            else:
+                nets.append((net.weight, 0, 0, tuple(members)))
         self._slots = tuple(slots)
+        self._externals = tuple(externals)
         self._nets = tuple(nets)
         self._estimator = wirelength_estimator(cost_function.wirelength_model)
 
@@ -157,13 +182,16 @@ class IndexedScorer:
         ws = [w for w, _ in dims]
         hs = [h for _, h in dims]
         points = [(xs[b] + fx * ws[b], ys[b] + fy * hs[b]) for b, fx, fy in self._slots]
+        points += self._externals
         estimator = self._estimator
         wirelength = 0.0
-        for weight, start, stop, external in self._nets:
-            positions = points[start:stop]
-            if external is not None:
-                positions.append(external)
-            wirelength += weight * estimator(positions)
+        for weight, p, q, members in self._nets:
+            if members is None:
+                px, py = points[p]
+                qx, qy = points[q]
+                wirelength += weight * (abs(px - qx) + abs(py - qy))
+            else:
+                wirelength += weight * estimator([points[k] for k in members])
         area = 0.0
         if xs:
             x0 = min(xs)

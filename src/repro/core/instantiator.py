@@ -21,13 +21,14 @@ Tier 2 can be disabled (``fallback_mode="template"``) to reproduce the
 strictest reading of the paper.
 
 A single query does no search the structure could have done ahead of
-time (see :mod:`repro.core.compiled`).  Tier 2 scans a legality plan
-compiled once per structure state: per stored placement, canvas caps and
-per-pair overlap thresholds of its fixed anchors, tried in ascending
-``(best_cost, index)`` order with early exit.  The plan prunes nothing,
-so it stays sound for any positive dims.  The winner is then scored from
-its index-ordered anchors and dims against a net-terminal table compiled
-once per cost function — bitwise equal to
+time (see :mod:`repro.core.compiled`).  Tier 1 ANDs the structure's
+compiled row bitmasks (:mod:`repro.core.intervals`).  Tier 2 scans a
+legality plan compiled once per structure state: per stored placement,
+canvas caps and per-pair overlap thresholds of its fixed anchors, tried
+in ascending ``(best_cost, index)`` order with early exit.  The plan
+prunes nothing, so it stays sound for any positive dims.  The winner is
+then scored from its index-ordered anchors and dims against a net table
+compiled once per cost function, two-point nets inline — bitwise equal to
 :meth:`~repro.cost.cost_function.PlacementCostFunction.evaluate`, which
 still scores every layout for cost subclasses that override evaluation.
 

@@ -9,10 +9,10 @@ uncovered remainder of the dimension space (Section 3.1.4).
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.core.intervals import Interval, IntervalList
+from repro.core.intervals import IntervalList, mask_indices
 from repro.core.placement_entry import Anchor, DimensionRange, Dims, StoredPlacement
 from repro.geometry.floorplan import FloorplanBounds
 from repro.utils.logging_utils import get_logger
@@ -127,32 +127,35 @@ class MultiPlacementStructure:
         best_dims: Sequence[Dims] = (),
         index: Optional[int] = None,
     ) -> StoredPlacement:
-        """Store a new placement and register its intervals in every row."""
-        if index is None:
-            index = self.allocate_index()
-        elif index in self._placements:
-            raise ValueError(f"placement index {index} already stored")
-        else:
-            self._next_index = max(self._next_index, index + 1)
+        """Store a new placement and register its intervals in every row.
+
+        ``index`` defaults to a fresh one; an explicit index must pass
+        :meth:`store`'s checks.
+        """
         placement = StoredPlacement(
-            index=index,
+            index=self.allocate_index() if index is None else index,
             anchors=tuple(anchors),
             ranges=list(ranges),
             average_cost=average_cost,
             best_cost=best_cost,
             best_dims=tuple(best_dims),
         )
-        self._placements[index] = placement
-        self._insert_rows(placement)
-        self._mutations += 1
-        return placement
+        return self.store(placement)
 
     def store(self, placement: StoredPlacement) -> StoredPlacement:
-        """Store an already-built :class:`StoredPlacement` (index must be unused)."""
-        if placement.index in self._placements:
-            raise ValueError(f"placement index {placement.index} already stored")
-        self._next_index = max(self._next_index, placement.index + 1)
-        self._placements[placement.index] = placement
+        """Store an already-built :class:`StoredPlacement` (index must be unused).
+
+        The index is the placement's bit in every row mask, so it must be a
+        non-negative ``int`` (not a ``bool``); anything else raises
+        ``ValueError`` before the structure changes.
+        """
+        index = placement.index
+        if type(index) is bool or not isinstance(index, int) or index < 0:
+            raise ValueError(f"placement index must be a non-negative int, got {index!r}")
+        if index in self._placements:
+            raise ValueError(f"placement index {index} already stored")
+        self._next_index = max(self._next_index, index + 1)
+        self._placements[index] = placement
         self._insert_rows(placement)
         self._mutations += 1
         return placement
@@ -170,6 +173,7 @@ class MultiPlacementStructure:
         self._remove_rows(placement)
         placement.ranges = list(ranges)
         self._insert_rows(placement)
+        self._mutations += 1
         return placement
 
     def _insert_rows(self, placement: StoredPlacement) -> None:
@@ -185,42 +189,47 @@ class MultiPlacementStructure:
     # ------------------------------------------------------------------ #
     # Queries (the function M)
     # ------------------------------------------------------------------ #
-    def query_candidates(self, dims: Sequence[Dims]) -> FrozenSet[int]:
-        """Intersection of all row queries for the dimension vector (Equation 4)."""
+    def _candidate_mask(self, dims: Sequence[Dims]) -> int:
+        """Bitmask of the placements whose box contains ``dims`` (Equation 4).
+
+        Each block ANDs in its width- and height-row masks; the scan stops
+        as soon as the mask is empty.
+        """
         if len(dims) != self._circuit.num_blocks:
             raise ValueError(
                 f"dimension vector must have {self._circuit.num_blocks} entries, got {len(dims)}"
             )
-        result: Optional[Set[int]] = None
-        for block_index, (w, h) in enumerate(dims):
-            width_hits = self._width_rows[block_index].query(int(w))
-            if not width_hits:
-                return frozenset()
-            height_hits = self._height_rows[block_index].query(int(h))
-            if not height_hits:
-                return frozenset()
-            row_hits = width_hits & height_hits
-            result = row_hits if result is None else (result & row_hits)
-            if not result:
-                return frozenset()
-        return frozenset(result or set())
+        if not dims:
+            return 0
+        mask = -1
+        for width_row, height_row, (w, h) in zip(self._width_rows, self._height_rows, dims):
+            mask &= width_row.mask_at(int(w)) & height_row.mask_at(int(h))
+            if not mask:
+                return 0
+        return mask
+
+    def query_candidates(self, dims: Sequence[Dims]) -> FrozenSet[int]:
+        """Intersection of all row queries for the dimension vector (Equation 4)."""
+        return mask_indices(self._candidate_mask(dims))
 
     def query(self, dims: Sequence[Dims]) -> Optional[StoredPlacement]:
         """The stored placement covering ``dims``, or ``None`` when uncovered.
 
         Equation 5 guarantees at most one candidate; if overlap resolution
         was bypassed (e.g. a hand-built structure) and several placements
-        match, the lowest-average-cost one is returned.
+        match, the one with the lowest ``(average_cost, index)`` is returned.
         """
-        candidates = self.query_candidates(dims)
-        if not candidates:
+        mask = self._candidate_mask(dims)
+        if not mask:
             return None
-        if len(candidates) > 1:
-            LOGGER.debug(
-                "query returned %d candidates; picking the lowest-cost one", len(candidates)
-            )
-        best_index = min(candidates, key=lambda idx: self._placements[idx].average_cost)
-        return self._placements[best_index]
+        if not mask & (mask - 1):
+            return self._placements[mask.bit_length() - 1]
+        candidates = mask_indices(mask)
+        LOGGER.debug("query returned %d candidates; picking the lowest-cost one", len(candidates))
+        return min(
+            (self._placements[index] for index in candidates),
+            key=lambda sp: (sp.average_cost, sp.index),
+        )
 
     def instantiate(self, dims: Sequence[Dims]):
         """Convenience wrapper around :class:`repro.core.instantiator.PlacementInstantiator`."""

@@ -422,9 +422,10 @@ class PlacementService:
             with Timer() as timer:
                 instantiator = self.instantiator_for(circuit, config)
                 mapped = _map_dims(circuit, instantiator.structure.circuit, dims)
-                vector_before = instantiator.vector_stats()
+                # A single query runs no vector sweep, so it merges no
+                # vector counters: a delta here could only be a concurrent
+                # batch's, which that batch already counts.
                 result, from_memo = instantiator.instantiate_with_info(mapped)
-                vector_after = instantiator.vector_stats()
             obs_span.set(source=result.source, memo_hit=from_memo)
         with self._lock:
             stats = self._stats
@@ -433,7 +434,6 @@ class PlacementService:
             if from_memo:
                 stats.memo_hits += 1
             stats.total_seconds += timer.elapsed
-            stats.merge_vector_delta(vector_before, vector_after)
         if _obs_enabled():
             _obs_metrics().observe("service.query_seconds", timer.elapsed)
         return result

@@ -35,6 +35,29 @@ def build_structure():
 
 
 class TestInstantiation:
+    def test_update_ranges_rebuilds_the_legality_plan(self, monkeypatch):
+        from repro.core import instantiator as instantiator_module
+
+        built = []
+        plan_type = instantiator_module.LegalityPlan
+
+        def counting_plan(placements, bounds):
+            built.append([sp.ranges for sp in placements])
+            return plan_type(placements, bounds)
+
+        monkeypatch.setattr(instantiator_module, "LegalityPlan", counting_plan)
+        structure = build_structure()
+        instantiator = PlacementInstantiator(structure)
+        assert instantiator.instantiate([(10, 10), (10, 10)]).source == SOURCE_NEAREST
+        assert instantiator.instantiate([(9, 9), (9, 9)]).source == SOURCE_NEAREST
+        assert len(built) == 1
+
+        moved = [DimensionRange(Interval(4, 6), Interval(4, 6))] * 2
+        structure.update_ranges(0, moved)
+        assert instantiator.instantiate([(10, 10), (10, 10)]).source == SOURCE_NEAREST
+        assert len(built) == 2
+        assert built[-1] == [moved]
+
     def test_covered_query_uses_structure(self):
         instantiator = PlacementInstantiator(build_structure())
         result = instantiator.instantiate([(5, 5), (6, 6)])

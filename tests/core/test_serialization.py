@@ -1,5 +1,7 @@
 """Tests for structure serialization."""
 
+import json
+
 import pytest
 
 from repro.circuit.block import Block
@@ -75,6 +77,23 @@ class TestStructureRoundtrip:
         del data["format_version"]
         with pytest.raises(ValueError):
             structure_from_dict(data)
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True])
+    def test_bad_placement_index_rejected_at_load(self, generated_chain_structure, index):
+        data = structure_to_dict(generated_chain_structure)
+        data["placements"][-1]["index"] = index
+        with pytest.raises(ValueError, match="non-negative int"):
+            structure_from_dict(data)
+
+    def test_bad_placement_index_rejected_by_load_structure(
+        self, generated_chain_structure, tmp_path
+    ):
+        path = save_structure(generated_chain_structure, tmp_path / "structure.json")
+        data = json.loads(path.read_text())
+        data["placements"][0]["index"] = -1
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="non-negative int"):
+            load_structure(path)
 
 
 class TestEdgeCaseRoundtrips:

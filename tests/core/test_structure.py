@@ -109,6 +109,44 @@ class TestStorage:
         assert structure.query([(5, 5)] * 3) is None
         assert structure.query([(9, 9)] * 3) is placement
 
+    def test_update_ranges_bumps_mutation_count(self, structure):
+        circuit = structure.circuit
+        placement = structure.add_placement(
+            anchors=[(0, 0), (15, 0), (30, 0)],
+            ranges=ranges_for(circuit, (4, 6), (4, 6)),
+            average_cost=10.0,
+            best_cost=9.0,
+        )
+        before = structure.mutation_count
+        structure.update_ranges(placement.index, ranges_for(circuit, (8, 10), (8, 10)))
+        assert structure.mutation_count > before
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True, "0"])
+    def test_bad_index_rejected_before_any_change(self, structure, index):
+        circuit = structure.circuit
+        with pytest.raises(ValueError, match="non-negative int"):
+            structure.add_placement(
+                anchors=[(0, 0), (15, 0), (30, 0)],
+                ranges=ranges_for(circuit, (4, 6), (4, 6)),
+                average_cost=10.0,
+                best_cost=9.0,
+                index=index,
+            )
+        assert structure.num_placements == 0
+        assert structure.mutation_count == 0
+        assert structure.query([(5, 5)] * 3) is None
+
+    def test_store_rejects_a_negative_index(self, structure):
+        probe = structure.add_placement(
+            anchors=[(0, 0), (15, 0), (30, 0)],
+            ranges=ranges_for(structure.circuit, (4, 6), (4, 6)),
+            average_cost=10.0,
+            best_cost=9.0,
+        )
+        with pytest.raises(ValueError, match="non-negative int"):
+            structure.store(probe.with_ranges(probe.ranges, index=-1))
+        assert structure.num_placements == 1
+
     def test_multiple_candidates_prefers_lower_cost(self, structure):
         # Bypass overlap resolution deliberately to exercise the tie-break.
         circuit = structure.circuit
@@ -125,6 +163,19 @@ class TestStorage:
             best_cost=9.0,
         )
         assert structure.query([(5, 5)] * 3) is best
+
+    def test_equal_cost_candidates_prefer_lower_index(self, structure):
+        circuit = structure.circuit
+        for index in (7, 3, 5):
+            structure.add_placement(
+                anchors=[(0, 0), (15, 0), (30, 0)],
+                ranges=ranges_for(circuit, (4, 8), (4, 8)),
+                average_cost=10.0,
+                best_cost=9.0,
+                index=index,
+            )
+        assert structure.query_candidates([(5, 5)] * 3) == {3, 5, 7}
+        assert structure.query([(5, 5)] * 3).index == 3
 
 
 class TestCoverageAndInvariants:

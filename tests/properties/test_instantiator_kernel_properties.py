@@ -10,6 +10,14 @@ are biased toward the boundary cases of both: coincident and touching
 anchors, blocks flush with the canvas edge, negative anchors, dims inside
 and outside the block bounds, nets of every degree and nonzero penalty
 weights.
+
+The structure's compiled interval rows are checked the same way: through
+random ``insert`` / ``remove_index`` / ``from_list`` / ``update_ranges``
+sequences, every row probe and every Equation 4 lookup must match a brute
+force over the stored boxes and the per-row ``frozenset`` intersection the
+bitmask lookup replaced, tie rule included.  The scorer's inline
+two-point nets are checked on netlists that interleave pin-pin, pin-I/O,
+degree-0/1 and larger nets.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from typing import List, Tuple
 import pytest
 
 from repro.circuit.net import Net, Terminal
+from repro.circuit.netlist import Circuit
 from repro.core.compiled import IndexedScorer, LegalityPlan
 from repro.core.instantiator import PlacementInstantiator
-from repro.core.intervals import Interval
+from repro.core.intervals import Interval, IntervalList
 from repro.core.placement_entry import DimensionRange, StoredPlacement
 from repro.core.structure import MultiPlacementStructure
 from repro.cost.cost_function import CostWeights, PlacementCostFunction
@@ -280,3 +289,175 @@ def test_add_placement_after_first_query_rebuilds_the_plan():
     )
     third = instantiator.instantiate(dims)
     assert (third.source, third.metadata["placement_index"]) == ("nearest", cheaper.index)
+
+
+# --------------------------------------------------------------------------- #
+# Compiled interval rows and the Equation 4 lookup
+# --------------------------------------------------------------------------- #
+def brute_force_row(spans, value):
+    """Indices whose registered spans in the row contain ``value``."""
+    return frozenset(
+        index for index, intervals in spans.items() if any(iv.contains(value) for iv in intervals)
+    )
+
+
+@pytest.mark.parametrize("seed", range(TRIALS))
+def test_compiled_row_matches_brute_force_through_mutations(seed):
+    rng = random.Random(23000 + seed)
+    row = IntervalList()
+    spans = {}
+    for _ in range(rng.randint(5, 30)):
+        roll = rng.random()
+        if roll < 0.6 or not spans:
+            start = rng.randint(0, 40)
+            interval = Interval(start, start + rng.randint(0, 15))
+            index = rng.randint(0, 12)
+            row.insert(interval, index)
+            spans.setdefault(index, []).append(interval)
+        elif roll < 0.85:
+            index = rng.choice(sorted(spans) + [99])
+            row.remove_index(index)
+            spans.pop(index, None)
+        else:
+            row = IntervalList.from_list(row.to_list())
+        row.check_invariants()
+        for value in range(-2, 60):
+            expected = brute_force_row(spans, value)
+            assert row.query(value) == expected
+            assert row.mask_at(value) == sum(1 << index for index in expected)
+
+
+def segment_query(row, value):
+    """Per-row reference read straight from the row's segments."""
+    for interval, indices in row:
+        if interval.contains(value):
+            return indices
+    return frozenset()
+
+
+def reference_candidates(structure, dims):
+    """The per-row ``frozenset`` intersection of Equation 4."""
+    result = None
+    for block_index, (w, h) in enumerate(dims):
+        hits = segment_query(structure.width_row(block_index), int(w)) & segment_query(
+            structure.height_row(block_index), int(h)
+        )
+        result = hits if result is None else result & hits
+    return frozenset(result or ())
+
+
+def reference_query(structure, dims):
+    candidates = reference_candidates(structure, dims)
+    if not candidates:
+        return None
+    return min(
+        (structure.placement(index) for index in candidates),
+        key=lambda sp: (sp.average_cost, sp.index),
+    )
+
+
+def random_box(rng: random.Random, circuit) -> List[DimensionRange]:
+    ranges = []
+    for block in circuit.blocks:
+        w0 = rng.randint(block.min_w, block.max_w)
+        h0 = rng.randint(block.min_h, block.max_h)
+        ranges.append(
+            DimensionRange(
+                Interval(w0, rng.randint(w0, block.max_w)),
+                Interval(h0, rng.randint(h0, block.max_h)),
+            )
+        )
+    return ranges
+
+
+@pytest.mark.parametrize("seed", range(TRIALS))
+def test_structure_lookup_matches_brute_force_and_row_intersection(seed):
+    """Hand-built boxes overlap freely, so several candidates and cost ties occur."""
+    rng = random.Random(27000 + seed)
+    circuit = random_circuit(rng)
+    structure = MultiPlacementStructure(circuit, FloorplanBounds(60, 60))
+    anchors = [(0, 0)] * circuit.num_blocks
+    for _ in range(rng.randint(4, 16)):
+        roll = rng.random()
+        if roll < 0.55 or not len(structure):
+            cost = float(rng.randint(1, 3))  # few distinct costs: ties are common
+            index = rng.choice([None, rng.randint(0, 40)])
+            if index is not None and structure.has_placement(index):
+                index = None
+            structure.add_placement(anchors, random_box(rng, circuit), cost, cost, index=index)
+        elif roll < 0.8:
+            structure.update_ranges(rng.choice(structure.placements()).index, random_box(rng, circuit))
+        else:
+            structure.remove_placement(rng.choice(structure.placements()).index)
+        stored = structure.placements()
+        for _ in range(QUERIES // 4):
+            if stored and rng.random() < 0.5:
+                box = rng.choice(stored).ranges
+                dims = [
+                    (rng.randint(r.width.start, r.width.end), rng.randint(r.height.start, r.height.end))
+                    for r in box
+                ]
+            else:
+                dims = [
+                    (rng.randint(b.min_w, b.max_w), rng.randint(b.min_h, b.max_h))
+                    for b in circuit.blocks
+                ]
+            expected = frozenset(sp.index for sp in stored if sp.contains(dims))
+            assert structure.query_candidates(dims) == expected
+            assert reference_candidates(structure, dims) == expected
+            assert structure.query(dims) is reference_query(structure, dims)
+
+
+# --------------------------------------------------------------------------- #
+# Inline two-point nets
+# --------------------------------------------------------------------------- #
+#: Net shapes as ``(block terminals, external)``; ``None`` terminals means 3-6.
+NET_SHAPES = {
+    "pin-pin": (2, False),
+    "pin-io": (1, True),
+    "pin-pin-io": (2, True),
+    "io-only": (0, True),
+    "lone-pin": (1, False),
+    "many": (None, False),
+    "many-io": (None, True),
+}
+
+
+def interleaved_netlist(rng: random.Random, circuit) -> Circuit:
+    """``circuit``'s blocks with nets of every shape, in random order."""
+    mixed = Circuit(circuit.name)
+    for block in circuit.blocks:
+        mixed.add_block(block)
+    for index in range(rng.randint(6, 20)):
+        count, external = NET_SHAPES[rng.choice(sorted(NET_SHAPES))]
+        terminals = []
+        for _ in range(rng.randint(3, 6) if count is None else count):
+            block = rng.choice(circuit.blocks)
+            terminals.append(Terminal(block.name, rng.choice(sorted(block.pins))))
+        mixed.add_net(
+            Net(
+                f"n{index}",
+                tuple(terminals),
+                weight=rng.uniform(0.1, 3.0),
+                external=external,
+                io_position=(rng.random(), rng.random()),
+            )
+        )
+    return mixed
+
+
+@pytest.mark.parametrize("model", ["hpwl", "star", "mst"])
+@pytest.mark.parametrize("with_bounds", [True, False])
+@pytest.mark.parametrize("seed", range(8))
+def test_inline_two_point_nets_equal_evaluate(seed, with_bounds, model):
+    rng = random.Random(31000 + seed)
+    circuit = interleaved_netlist(rng, random_circuit(rng))
+    bounds = FloorplanBounds(rng.randint(20, 60), rng.randint(20, 60)) if with_bounds else None
+    canvas = bounds or FloorplanBounds(40, 40)
+    cost_function = PlacementCostFunction(circuit, bounds, CostWeights(), model)
+    scorer = IndexedScorer(cost_function)
+    for _ in range(QUERIES // 4):
+        anchors = random_anchors(rng, circuit, canvas)
+        dims = random_dims(rng, circuit)
+        rects = placed(circuit, anchors, dims)
+        assert scorer.evaluate(anchors, dims, rects) == cost_function.evaluate(rects)

@@ -5,6 +5,7 @@ import pytest
 from repro.circuit.builder import CircuitBuilder
 from repro.core.generator import GeneratorConfig
 from repro.core.instantiator import (
+    PlacementInstantiator,
     SOURCE_FALLBACK,
     SOURCE_NEAREST,
     SOURCE_STRUCTURE,
@@ -197,6 +198,25 @@ class TestVectorEvalStats:
         stats = service.stats
         assert stats.batch_evals == 0
         assert stats.vector_fallbacks == 1
+
+    def test_concurrent_batch_sweep_is_counted_once(self, service, monkeypatch):
+        """A batch that lands during a single query's miss counts its sweep once."""
+        pytest.importorskip("numpy")
+        monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
+        circuit = build_chain_circuit(2)
+        original = PlacementInstantiator.instantiate
+        ran = []
+
+        def instantiate_with_a_batch_inside(self, dims):
+            if not ran:
+                ran.append(True)
+                service.instantiate_batch(circuit, [OUT_OF_BOX_LEGAL, [(7, 7), (7, 7)]])
+            return original(self, dims)
+
+        monkeypatch.setattr(PlacementInstantiator, "instantiate", instantiate_with_a_batch_inside)
+        service.instantiate(circuit, IN_BOX)
+        assert ran
+        assert service.stats.batch_evals == 1
 
     def test_results_identical_with_and_without_vectorization(
         self, tmp_path, monkeypatch
