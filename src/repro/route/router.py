@@ -9,6 +9,9 @@
 * multi-terminal nets grow a rectilinear Steiner-ish tree by repeatedly
   A*-connecting the closest remaining terminal to the partial tree, with
   congestion-aware edge costs;
+* the search runs on the grid's compiled lattice (node ints, edge ids, the
+  flat edge-cost table; see :meth:`RoutingGrid.route_tree`), with
+  ``(i, j)`` tuples built only for the :class:`RoutedNet` it returns;
 * nets matched by a symmetry group are routed as geometric mirror images
   across the group axis (analog parasitic matching), falling back to
   independent routing when the mirrored path is illegal;
@@ -24,7 +27,6 @@ HPWL regardless of grid resolution — the sanity invariant
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -34,7 +36,12 @@ from repro.cost.wirelength import hpwl, net_terminal_positions
 from repro.geometry.floorplan import FloorplanBounds
 from repro.geometry.rect import Rect
 from repro.obs.spans import is_enabled as _obs_enabled, metrics as _obs_metrics, span
-from repro.route.grid import DEFAULT_EDGE_CAPACITY, Edge, Node, RoutingGrid
+from repro.route.grid import (
+    DEFAULT_CONGESTION_WEIGHT,
+    DEFAULT_EDGE_CAPACITY,
+    Node,
+    RoutingGrid,
+)
 from repro.route.result import RoutedLayout, RoutedNet, Segment
 from repro.route.symmetry import NetPair, symmetric_net_pairs
 from repro.utils.timer import Timer
@@ -52,7 +59,7 @@ class RouterConfig:
     #: Nets one routing edge can carry before it overflows.
     capacity: int = DEFAULT_EDGE_CAPACITY
     #: Cost added per unit of would-be overflow when choosing paths.
-    congestion_weight: float = 2.0
+    congestion_weight: float = DEFAULT_CONGESTION_WEIGHT
     #: History cost added to every overflowed edge per negotiation round.
     history_weight: float = 0.5
     #: Maximum rip-up-and-reroute rounds before giving up on overflow.
@@ -60,9 +67,25 @@ class RouterConfig:
     #: Route symmetry-paired nets as mirror images when geometrically legal.
     mirror_symmetric_nets: bool = True
 
-
-def _norm_edge(a: Node, b: Node) -> Edge:
-    return (a, b) if a <= b else (b, a)
+    def __post_init__(self) -> None:
+        # The search's closed-set early exit and its distance heuristic are
+        # exact only while every edge costs at least its length.
+        if self.resolution is not None and not self.resolution > 0:
+            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        if self.capacity < 1:
+            raise ValueError(f"capacity must be at least 1, got {self.capacity}")
+        if not self.congestion_weight >= 0:
+            raise ValueError(
+                f"congestion_weight must be non-negative, got {self.congestion_weight}"
+            )
+        if not self.history_weight >= 0:
+            raise ValueError(
+                f"history_weight must be non-negative, got {self.history_weight}"
+            )
+        if self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must be non-negative, got {self.max_iterations}"
+            )
 
 
 class GlobalRouter:
@@ -98,19 +121,21 @@ class GlobalRouter:
             "route.route", circuit=self._circuit.name, nets=len(self._circuit.nets)
         ) as obs_span, Timer() as timer:
             bounds = self._bounds if self._bounds is not None else derive_bounds(rects)
-            grid = RoutingGrid(bounds, config.resolution, config.capacity)
+            grid = RoutingGrid(
+                bounds, config.resolution, config.capacity, config.congestion_weight
+            )
             grid.add_blockages(rects.values())
 
             # Terminal geometry: exact pin positions and lattice access nodes.
             rects_dict = dict(rects)
             exact: Dict[str, List[Tuple[float, float]]] = {}
-            access: Dict[str, Optional[List[Node]]] = {}
+            access: Dict[str, Optional[List[int]]] = {}
             for net in self._circuit.nets:
                 positions = net_terminal_positions(net, self._circuit, rects_dict, bounds)
                 exact[net.name] = positions
-                nodes: Optional[List[Node]] = []
+                nodes: Optional[List[int]] = []
                 for x, y in positions:
-                    node = grid.access_node(x, y)
+                    node = grid.access_index(x, y)
                     if node is None:
                         nodes = None
                         break
@@ -136,7 +161,8 @@ class GlobalRouter:
             order.sort(key=lambda name: hpwl(exact[name]))
             order.sort(key=lambda name: 1 if name in mirror_of else 0)
 
-            edges: Dict[str, Optional[Set[Edge]]] = {}
+            # Each net's routing tree as a set of edge ids.
+            edges: Dict[str, Optional[Set[int]]] = {}
             mirrored_from: Dict[str, str] = {}
 
             def route_one(name: str) -> None:
@@ -157,20 +183,20 @@ class GlobalRouter:
                     if mirrored is not None:
                         edges[name] = mirrored
                         mirrored_from[name] = pair.primary
-                        grid.add_usage(mirrored, +1)
+                        grid.add_edge_usage(mirrored, +1)
                         return
                     mirrored_from.pop(name, None)
-                tree = self._route_tree(grid, nodes)
+                tree = grid.route_tree(nodes)
                 edges[name] = tree
                 if tree:
-                    grid.add_usage(tree, +1)
+                    grid.add_edge_usage(tree, +1)
 
             for name in order:
                 route_one(name)
 
             iterations = 0
             for _ in range(config.max_iterations):
-                overflowed = grid.overflowed_edges()
+                overflowed = grid.overflowed_edge_ids()
                 if not overflowed:
                     break
                 iterations += 1
@@ -185,11 +211,11 @@ class GlobalRouter:
                 for name in list(offenders):
                     if name in partner:
                         offenders.add(partner[name])
-                grid.add_history(overflowed, config.history_weight)
+                grid.add_edge_history(overflowed, config.history_weight)
                 for name in offenders:
                     tree = edges.get(name)
                     if tree:
-                        grid.add_usage(tree, -1)
+                        grid.add_edge_usage(tree, -1)
                     edges[name] = set()
                 for name in order:
                     if name in offenders:
@@ -206,11 +232,19 @@ class GlobalRouter:
                 )
                 for net in self._circuit.nets
             }
-            obs_span.set(iterations=iterations, overflow=grid.total_overflow)
+            astar_calls, expanded_nodes = grid.astar_calls, grid.expanded_nodes
+            obs_span.set(
+                iterations=iterations,
+                overflow=grid.total_overflow,
+                astar_calls=astar_calls,
+                expanded_nodes=expanded_nodes,
+            )
             if _obs_enabled():
                 metrics = _obs_metrics()
                 metrics.inc("route.routes")
                 metrics.inc("route.ripup_iterations", iterations)
+                metrics.inc("route.astar_calls", astar_calls)
+                metrics.inc("route.expanded_nodes", expanded_nodes)
                 if grid.total_overflow:
                     metrics.inc("route.overflowed_layouts")
         return RoutedLayout(
@@ -224,105 +258,16 @@ class GlobalRouter:
         )
 
     # ------------------------------------------------------------------ #
-    # Single-net routing
-    # ------------------------------------------------------------------ #
-    def _route_tree(self, grid: RoutingGrid, nodes: Sequence[Node]) -> Optional[Set[Edge]]:
-        """Connect ``nodes`` into one tree; ``None`` when any leg is unreachable."""
-        unique: List[Node] = []
-        for node in nodes:
-            if node not in unique:
-                unique.append(node)
-        tree_edges: Set[Edge] = set()
-        if len(unique) <= 1:
-            return tree_edges
-        tree: Set[Node] = {unique[0]}
-        remaining = unique[1:]
-        while remaining:
-            best_index = 0
-            best_dist = float("inf")
-            for index, candidate in enumerate(remaining):
-                dist = min(
-                    abs(candidate[0] - n[0]) + abs(candidate[1] - n[1]) for n in tree
-                )
-                if dist < best_dist:
-                    best_dist = dist
-                    best_index = index
-            start = remaining.pop(best_index)
-            path = self._astar(grid, start, tree)
-            if path is None:
-                return None
-            previous: Optional[Node] = None
-            for node in path:
-                tree.add(node)
-                if previous is not None:
-                    tree_edges.add(_norm_edge(previous, node))
-                previous = node
-        return tree_edges
-
-    def _astar(
-        self, grid: RoutingGrid, start: Node, targets: Set[Node]
-    ) -> Optional[List[Node]]:
-        """Cheapest congestion-aware path from ``start`` to any of ``targets``."""
-        if start in targets:
-            return [start]
-        resolution = grid.resolution
-        congestion_weight = self._config.congestion_weight
-        min_i = min(i for i, _ in targets)
-        max_i = max(i for i, _ in targets)
-        min_j = min(j for _, j in targets)
-        max_j = max(j for _, j in targets)
-
-        def heuristic(i: int, j: int) -> float:
-            dx = min_i - i if i < min_i else (i - max_i if i > max_i else 0)
-            dy = min_j - j if j < min_j else (j - max_j if j > max_j else 0)
-            return (dx + dy) * resolution
-
-        best_g: Dict[Node, float] = {start: 0.0}
-        parent: Dict[Node, Node] = {}
-        open_heap: List[Tuple[float, float, Node]] = [
-            (heuristic(*start), 0.0, start)
-        ]
-        closed: Set[Node] = set()
-        nx, ny = grid.shape
-        while open_heap:
-            _, g, node = heapq.heappop(open_heap)
-            if node in closed:
-                continue
-            closed.add(node)
-            if node in targets:
-                path = [node]
-                while node in parent:
-                    node = parent[node]
-                    path.append(node)
-                path.reverse()
-                return path
-            i, j = node
-            for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if not (0 <= ni < nx and 0 <= nj < ny):
-                    continue
-                neighbour = (ni, nj)
-                if neighbour in closed or grid.is_blocked(neighbour):
-                    continue
-                tentative = g + grid.edge_cost(node, neighbour, congestion_weight)
-                if tentative < best_g.get(neighbour, float("inf")):
-                    best_g[neighbour] = tentative
-                    parent[neighbour] = node
-                    heapq.heappush(
-                        open_heap, (tentative + heuristic(ni, nj), tentative, neighbour)
-                    )
-        return None
-
-    # ------------------------------------------------------------------ #
     # Symmetry mirroring
     # ------------------------------------------------------------------ #
     def _mirror_route(
         self,
         grid: RoutingGrid,
         axis: Optional[float],
-        primary_edges: Optional[Set[Edge]],
-        mirror_access: Sequence[Node],
-    ) -> Optional[Set[Edge]]:
-        """The primary's route reflected across the pair's symmetry ``axis``.
+        primary_edges: Optional[Set[int]],
+        mirror_access: Sequence[int],
+    ) -> Optional[Set[int]]:
+        """The primary's route (edge ids) reflected across the pair's ``axis``.
 
         Returns ``None`` (fall back to independent routing) when the axis
         does not land on the lattice, any reflected node is off-grid or
@@ -336,19 +281,20 @@ class GlobalRouter:
             return None
         flip = int(round(doubled))
 
-        mirrored: Set[Edge] = set()
+        mirrored: Set[int] = set()
         nodes: Set[Node] = set()
-        for (ai, aj), (bi, bj) in primary_edges:
+        for edge in primary_edges:
+            (ai, aj), (bi, bj) = grid.edge_nodes(edge)
             ma = (flip - ai, aj)
             mb = (flip - bi, bj)
             if not (grid.in_grid(ma) and grid.in_grid(mb)):
                 return None
             if grid.is_blocked(ma) or grid.is_blocked(mb):
                 return None
-            mirrored.add(_norm_edge(ma, mb))
+            mirrored.add(grid.edge_id(ma, mb))
             nodes.add(ma)
             nodes.add(mb)
-        unique_access = set(mirror_access)
+        unique_access = {grid.node(index) for index in mirror_access}
         if not mirrored:
             # A zero-edge primary mirrors onto a zero-edge route only when
             # the mirror net also collapses onto a single access node.
@@ -365,8 +311,8 @@ class GlobalRouter:
         grid: RoutingGrid,
         name: str,
         exact: Sequence[Tuple[float, float]],
-        access: Optional[Sequence[Node]],
-        tree: Optional[Set[Edge]],
+        access: Optional[Sequence[int]],
+        tree: Optional[Set[int]],
         mirrored_from: Optional[str],
     ) -> RoutedNet:
         if len(exact) < 2:
@@ -376,7 +322,7 @@ class GlobalRouter:
         stubs: List[Segment] = []
         stub_length = 0.0
         for (x, y), node in zip(exact, access):
-            px, py = grid.node_position(node)
+            px, py = grid.node_position(grid.node(node))
             length = abs(px - x) + abs(py - y)
             if length > 1e-9:
                 stubs.append(((x, y), (px, py)))
@@ -384,7 +330,7 @@ class GlobalRouter:
         segments = tuple(
             sorted(
                 (grid.node_position(a), grid.node_position(b))
-                for a, b in tree
+                for a, b in map(grid.edge_nodes, tree)
             )
         )
         wirelength = len(tree) * grid.resolution + stub_length
